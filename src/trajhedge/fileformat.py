@@ -91,6 +91,8 @@ def parse_tree(text: str) -> TrajectoryTree:
                     raise ParseError("two nodes declared at t=0", line_no)
                 root_id = nid
         elif kind in ("child", "family"):
+            if len(toks) < 2:
+                raise ParseError(f"{kind} line needs a parent id", line_no)
             pending.append((line_no, toks))
         else:
             raise ParseError(f"unknown directive {kind!r}", line_no)
@@ -115,7 +117,7 @@ def parse_tree(text: str) -> TrajectoryTree:
             progress = True
             try:
                 if toks[0] == "child":
-                    if "->" not in toks:
+                    if "->" not in toks[:-1]:
                         raise ParseError("child line needs '->' target", line_no)
                     inc = _parse_rat(_kv(toks[2:], "inc", line_no), line_no)
                     child = toks[toks.index("->") + 1]

@@ -226,12 +226,14 @@ def min_max_affine(pieces: Sequence[AffinePiece]) -> MinMaxResult:
             if best is None or val > best:
                 best = val
                 best_h = (p.value - q.value) / (p.slope - q.slope)
-    assert best is not None
+    if best is None:
+        raise LPError("two-sided min-max found no crossing and no floor")
     if best_h is None:
         # the floor dominates every crossing; any h in the feasible band works
         lo = max((p.value - best) / p.slope for p in pos)
         hi = min((q.value - best) / q.slope for q in neg)
-        assert lo <= hi
+        if lo > hi:
+            raise LPError("empty feasible band for the slope under the floor")
         best_h = lo
     tight = [p.label for p in pieces if p.value - best_h * p.slope == best]
     return MinMaxResult(best, best_h, 0, tight)

@@ -418,19 +418,7 @@ def abs_payoff(tree: TrajectoryTree, f: PayoffSpec) -> PayoffSpec:
     for fid, pieces in f.family_values.items():
         out: list[Piece] = []
         for lo, hi, poly in pieces:
-            boundary: list[int] = []
-            if not poly.is_zero():
-                q = poly.reversed_in_n()
-                cand = root_integer_neighbors(q, lo, hi)
-                prev_sign = None
-                start = lo
-                # walk candidate windows; between sign-relevant integers the
-                # grid keeps one sign, so exact splitting only needs candidates
-                marks = sorted(set(cand) | {lo})
-                for n in marks:
-                    boundary.append(n)
-            segs = _sign_segments(poly, lo, hi)
-            for s_lo, s_hi, nonneg in segs:
+            for s_lo, s_hi, nonneg in _sign_segments(poly, lo, hi):
                 out.append((s_lo, s_hi, poly if nonneg else -poly))
         fam_values[fid] = tuple(sorted(out))
     g = PayoffSpec(f.maturity, node_values, fam_values)
@@ -456,7 +444,8 @@ def _sign_segments(poly: Poly, lo: int, hi: Optional[int]):
             segs.append((start, end, False))
         else:
             # a candidate window still mixes signs: split pointwise
-            assert end is not None, "unbounded tail cannot mix signs beyond candidates"
+            if end is None:
+                raise ModelError("unbounded tail cannot mix signs beyond candidates")
             for n in range(start, end + 1):
                 segs.append((n, n, poly.at_index(n) >= 0))
     return _merge_segments(segs)

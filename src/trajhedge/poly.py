@@ -12,8 +12,10 @@ of floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 MAX_FAMILY_DEGREE = 4
@@ -195,13 +197,37 @@ def _sturm_chain(p: Poly) -> list[Poly]:
     return [q for q in chain if not q.is_zero()]
 
 
-def _variations(chain: Sequence[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _int_coeffs(p: Poly) -> tuple[int, ...]:
+    """p times the positive lcm of its denominators: integer coefficients,
+    same sign as p at every point."""
+    m = math.lcm(*(c.denominator for c in p.coeffs))
+    return tuple(c.numerator * (m // c.denominator) for c in p.coeffs)
+
+
+def _sign_at(coeffs: Sequence[int], x: Fraction) -> int:
+    """Sign of P(x), for integer coefficients, as the sign of q^d * P(p/q).
+
+    With x = p/q and q > 0, Horner on the homogenised polynomial stays in the
+    integers and avoids the gcd that every Fraction operation pays.
+    """
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    """Sign changes of an integer Sturm chain at x (zeros skipped)."""
+    count = prev = 0
+    for coeffs in chain:
+        s = _sign_at(coeffs, x)
+        if s:
+            if prev and s != prev:
+                count += 1
+            prev = s
+    return count
 
 
 def cauchy_bound(p: Poly) -> Fraction:
@@ -212,10 +238,15 @@ def cauchy_bound(p: Poly) -> Fraction:
     return Fraction(1) + max(abs(c) / lead for c in p.coeffs[:-1])
 
 
-def _nudge_off_root(p: Poly, x: Fraction, step: Fraction) -> Fraction:
-    while p(x) == 0:
+def _nudge_off_root(coeffs: Sequence[int], x: Fraction, step: Fraction) -> Fraction:
+    while _sign_at(coeffs, x) == 0:
         x += step
     return x
+
+
+# Distinct (poly, lo, hi) inputs kept by each memo below.  Family questions
+# repeat the same few polynomials many times over; the answers are small.
+_MEMO_SIZE = 4096
 
 
 def root_integer_neighbors(p: Poly, lo: int, hi: Optional[int]) -> list[int]:
@@ -223,12 +254,18 @@ def root_integer_neighbors(p: Poly, lo: int, hi: Optional[int]) -> list[int]:
 
     Used to turn "where can the grid sequence p(1/n) change sign or
     monotonicity" into a finite candidate list.  hi=None means unbounded;
-    the Cauchy bound caps the search in that case.
+    the Cauchy bound caps the search in that case.  Answers are memoized on
+    (p, lo, hi); each call gets its own list.
     """
+    return list(_root_integer_neighbors(p, lo, hi))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _root_integer_neighbors(p: Poly, lo: int, hi: Optional[int]) -> tuple[int, ...]:
     if p.is_zero():
         raise ValueError("zero polynomial has no isolated roots")
     if p.degree <= 0:
-        return []
+        return ()
     bound = cauchy_bound(p)
     right = Fraction(hi + 1) if hi is not None else bound + 1
     left = Fraction(lo - 1)
@@ -238,32 +275,33 @@ def root_integer_neighbors(p: Poly, lo: int, hi: Optional[int]) -> list[int]:
     out: set[int] = set()
 
     def clamp_add(x: Fraction) -> None:
-        import math
-
         for m in (math.floor(x), math.ceil(x)):
             if m >= lo and (hi is None or m <= hi):
                 out.add(int(m))
 
-    chain = _sturm_chain(p)
-    a = _nudge_off_root(p, left, Fraction(-1, 97))
-    b = _nudge_off_root(p, right, Fraction(1, 97))
-    stack = [(a, b, _variations(chain, a) - _variations(chain, b))]
+    chain = [_int_coeffs(q) for q in _sturm_chain(p)]
+    ip = chain[0]
+    a = _nudge_off_root(ip, left, Fraction(-1, 97))
+    b = _nudge_off_root(ip, right, Fraction(1, 97))
+    # each entry carries the variation counts of its endpoints, so a split
+    # evaluates the chain at the midpoint only
+    stack = [(a, b, _variations(chain, a), _variations(chain, b))]
     while stack:
-        a, b, count = stack.pop()
-        if count <= 0:
+        a, b, va, vb = stack.pop()
+        if va - vb <= 0:
             continue
         if b - a <= Fraction(1, 4):
             clamp_add(a)
             clamp_add(b)
             continue
         mid = (a + b) / 2
-        if p(mid) == 0:
+        if _sign_at(ip, mid) == 0:
             clamp_add(mid)
-            mid = _nudge_off_root(p, mid + (b - a) / 1024, (b - a) / 1024)
-        va, vm, vb = (_variations(chain, x) for x in (a, mid, b))
-        stack.append((a, mid, va - vm))
-        stack.append((mid, b, vm - vb))
-    return sorted(out)
+            mid = _nudge_off_root(ip, mid + (b - a) / 1024, (b - a) / 1024)
+        vm = _variations(chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
+    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +367,15 @@ def _candidates(p: Poly, n_lo: int, n_hi: Optional[int]) -> list[int]:
 
 
 def grid_summary(p: Poly, n_lo: int, n_hi: Optional[int] = None) -> GridSummary:
-    """Exact extremum/sign summary of p over the reciprocal grid."""
+    """Exact extremum/sign summary of p over the reciprocal grid.
+
+    Answers are memoized on (p, n_lo, n_hi).
+    """
+    return _grid_summary(p, n_lo, n_hi)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _grid_summary(p: Poly, n_lo: int, n_hi: Optional[int]) -> GridSummary:
     if n_lo < 1:
         raise ValueError("grid starts at n >= 1")
     if n_hi is not None and n_hi < n_lo:

@@ -294,7 +294,8 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
             blocker = _blocking_member(problem, res.drift)
             if blocker is None:
                 limit = _asymptotic_value(problem, res.drift)
-                assert limit is not None
+                if limit is None:
+                    raise PricingError("unblocked drift direction has no asymptotic value")
                 if limit == MINUS_INF:
                     return StepResult(
                         MINUS_INF, False, None, [], [], "one-sided harvest"
@@ -308,7 +309,8 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
             continue
 
         V, h = res.value, res.h
-        assert isinstance(V, Fraction) and h is not None
+        if not isinstance(V, Fraction) or h is None:
+            raise PricingError("min-max round returned no finite value and hedge")
         last_point = (V, h)
         violations = []
         for g in problem.groups:

@@ -126,6 +126,14 @@ def test_malformed_tree_exits_2(capsys, tmp_path):
     assert rc == 2 and "line 3" in err
 
 
+@pytest.mark.parametrize("line", ["child r inc=1 ->", "child", "family"])
+def test_truncated_tree_line_exits_2(capsys, tmp_path, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"tree s0=1 horizon=1\nnode r t=0\n{line}\n")
+    rc, _, err = run(capsys, "classify", str(bad))
+    assert rc == 2 and "line 3" in err and "Traceback" not in err
+
+
 def test_determinism(capsys, tree_file, payoff_file):
     rc1, out1, _ = run(capsys, "analyze", tree_file)
     rc2, out2, _ = run(capsys, "analyze", tree_file)
