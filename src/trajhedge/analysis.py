@@ -90,6 +90,22 @@ class EventSet:
         True when an ancestor-or-self of nid is a listed node atom."""
         return any(a in self.node_atoms for a in tree.path_to(nid))
 
+    def covered_nodes(self, tree: TrajectoryTree) -> set[str]:
+        """Every explicit node whose path the node atoms cover, in one pass.
+
+        Equals ``{nid for nid in tree.nodes if self.covers_path(tree, nid)}``:
+        coverage is carried from parent to child instead of re-walking each
+        path from the root."""
+        out: set[str] = set()
+        stack = [(tree.root, False)]
+        while stack:
+            nid, above = stack.pop()
+            hit = above or nid in self.node_atoms
+            if hit:
+                out.add(nid)
+            stack.extend((child, hit) for _, child in tree.node(nid).children)
+        return out
+
     def covers_member(self, tree: TrajectoryTree, fid: str, n: int) -> bool:
         fam = tree.family(fid)
         if self.covers_path(tree, fam.parent):

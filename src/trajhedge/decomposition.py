@@ -20,8 +20,10 @@ from .analysis import (
     FamilyAtom,
     NodeAtom,
     NodeClass,
+    _subtract_many,
     analyze,
 )
+from .lp import AffinePiece
 from .model import (
     HedgeSequence,
     PayoffSpec,
@@ -29,6 +31,9 @@ from .model import (
     ProcessSequence,
     SimpleStrategy,
     TrajectoryTree,
+    _piece_grid,
+    _restrict_piece,
+    _sign_segments,
     wealth,
     wealth_on_member,
 )
@@ -36,9 +41,17 @@ from .poly import Poly, grid_member_above, grid_summary, rat, ranges_excluding
 from .pricing import (
     MINUS_INF,
     PricingError,
-    one_step_feasible_hedge,
-    one_step_price_of_next,
+    ScanGroup,
+    StepProblem,
+    StepResult,
+    _check_supermartingale,
+    _drift_walk,
+    _member_diff,
+    _next_step,
+    _next_values,
     check_supermartingale,
+    one_step_feasible_hedge,
+    solve_step,
     value_bounds,
 )
 
@@ -75,14 +88,19 @@ class Decomposition:
 # construction
 
 
-def _violation_nodes(tree: TrajectoryTree, f: ProcessSequence, analysis: Analysis):
+def _violation_nodes(
+    tree: TrajectoryTree,
+    f: ProcessSequence,
+    analysis: Analysis,
+    steps: dict[str, StepResult],
+):
     """Nodes where the one-step price strictly exceeds the running value."""
     out: set[str] = set()
     for j in range(tree.horizon):
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf:
                 continue
-            step = one_step_price_of_next(tree, f, nd.nid, analysis)
+            step = _next_step(steps, tree, f, nd.nid, analysis)
             lo, hi = value_bounds(step.value)
             if hi == MINUS_INF:
                 continue
@@ -96,8 +114,6 @@ def _violation_nodes(tree: TrajectoryTree, f: ProcessSequence, analysis: Analysi
 
 def _member_violation_ranges(tree, f, fid, j) -> list[tuple[int, Optional[int]]]:
     """Member windows where f_{j+1} > f_j strictly (flat continuations)."""
-    from .pricing import _member_diff
-
     fam = tree.family(fid)
     diff = _member_diff(f, fid, j, fam.n0, None)
     if diff is None:
@@ -109,15 +125,12 @@ def _member_violation_ranges(tree, f, fid, j) -> list[tuple[int, Optional[int]]]
         s = grid_summary(poly, lo, hi)
         if not s.has_pos:
             continue
-        zeros = list(s.zeros)
         segs = _positive_segments(poly, lo, hi)
         windows.extend(segs)
     return windows
 
 
 def _positive_segments(poly: Poly, lo: int, hi: Optional[int]):
-    from .model import _sign_segments
-
     out = []
     for seg_lo, seg_hi, nonneg in _sign_segments(poly, lo, hi):
         if not nonneg:
@@ -127,7 +140,12 @@ def _positive_segments(poly: Poly, lo: int, hi: Optional[int]):
     return out
 
 
-def _exception_set(tree: TrajectoryTree, f: ProcessSequence, analysis: Analysis) -> EventSet:
+def _exception_set(
+    tree: TrajectoryTree,
+    f: ProcessSequence,
+    analysis: Analysis,
+    steps: dict[str, StepResult],
+) -> EventSet:
     """Failure cylinders, one-step violations and arbitrage moves.
 
     Independent of the slack sequence by construction."""
@@ -135,7 +153,7 @@ def _exception_set(tree: TrajectoryTree, f: ProcessSequence, analysis: Analysis)
     for nid, ok in analysis.l_holds.items():
         if not ok:
             ev.add(NodeAtom(nid))
-    for nid in _violation_nodes(tree, f, analysis):
+    for nid in _violation_nodes(tree, f, analysis, steps):
         ev.add(NodeAtom(nid))
     for nd in tree.nodes.values():
         if analysis.node_class.get(nd.nid) in (
@@ -159,17 +177,14 @@ def _exception_set(tree: TrajectoryTree, f: ProcessSequence, analysis: Analysis)
     return ev
 
 
-def _first_exception_time(tree, ev: EventSet, nid: str) -> Optional[int]:
-    for t, anc in enumerate(tree.path_to(nid)):
-        if anc in ev.node_atoms:
-            return t
-    return None
-
-
 def doob_decompose(
     tree: TrajectoryTree, f: ProcessSequence, deltas: Sequence
 ) -> Decomposition:
-    """Hedge + compensator split of a supermartingale for the given slacks."""
+    """Hedge + compensator split of a supermartingale for the given slacks.
+
+    Each node's one-step price of the next value is solved once and shared
+    by the supermartingale check, the exception set and the hedge choice.
+    """
     analysis = analyze(tree)
     deltas = [rat(d) for d in deltas]
     if len(deltas) != tree.horizon:
@@ -181,30 +196,23 @@ def doob_decompose(
             "decomposition requires the a.e. continuity assumption: "
             + "; ".join(analysis.l_ae.witnesses)
         )
-    ok, witness = check_supermartingale(tree, f)
+    steps: dict[str, StepResult] = {}
+    ok, witness = _check_supermartingale(tree, f, analysis, steps)
     if not ok:
         raise DecompositionError(f"not a supermartingale: violation at {witness}")
 
-    exceptions = _exception_set(tree, f, analysis)
+    exceptions = _exception_set(tree, f, analysis, steps)
+    covered = exceptions.covered_nodes(tree)
     hedge = HedgeSequence()
     for j in range(tree.horizon):
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf:
                 continue
             h = Fraction(0)
-            triggered = _first_exception_time(tree, exceptions, nd.nid) is not None
-            if not triggered and analysis.node_class[nd.nid] is NodeClass.UP_DOWN:
+            healthy = analysis.node_class[nd.nid] is NodeClass.UP_DOWN
+            if healthy and nd.nid not in covered:
                 target = f[j].node_values[nd.nid] + deltas[j]
-                child_values = {}
-                for _, child in nd.children:
-                    if analysis.l_fails(child):
-                        child_values[child] = MINUS_INF
-                    else:
-                        child_values[child] = f[j + 1].node_values[child]
-                pieces = {fid: f[j + 1].family_values[fid] for fid in nd.families}
-                found = one_step_feasible_hedge(
-                    tree, nd.nid, child_values, pieces, target, analysis
-                )
+                found = _hedge_at(tree, f, nd.nid, target, analysis, steps)
                 if found is None:
                     raise DecompositionError(
                         f"no finite hedge within the slack at node {nd.nid!r}"
@@ -212,22 +220,32 @@ def doob_decompose(
                 h = found
             hedge.set(j, nd.nid, h)
 
-    d = decomposition_from_hedge(tree, f, deltas, hedge)
+    d = _from_hedge(tree, f, deltas, hedge, exceptions, covered)
     ok, why = verify_decomposition(tree, f, d)
     if not ok:  # pragma: no cover - construction is verified on the way out
         raise DecompositionError(f"internal verification failed: {why}")
     return d
 
 
-def _mask_exceptions(tree, exceptions, fid, lo, hi, poly) -> list[Piece]:
+def _hedge_at(tree, f, nid, target, analysis, steps) -> Optional[Fraction]:
+    """one_step_feasible_hedge at nid, reusing the node's solved step.
+
+    An attained step within the target gives its own position; only the
+    unattained case solves again, to walk out along the drift."""
+    step = _next_step(steps, tree, f, nid, analysis)
+    if step.attained and step.value <= target:
+        return step.h
+    child_values, pieces = _next_values(tree, f, nid, analysis)
+    return one_step_feasible_hedge(tree, nid, child_values, pieces, target, analysis)
+
+
+def _mask_exceptions(tree, exceptions, covered, fid, lo, hi, poly) -> list[Piece]:
     """Zero the increment polynomial on excepted member windows."""
-    fam = tree.family(fid)
-    if exceptions.covers_path(tree, fam.parent):
+    if tree.family(fid).parent in covered:
         return [(lo, hi, Poly.constant(0))]
-    covered = exceptions.member_ranges(fid)
     pieces: list[Piece] = []
     alive = [(lo, hi)]
-    for c_lo, c_hi in covered:
+    for c_lo, c_hi in exceptions.member_ranges(fid):
         nxt = []
         for a_lo, a_hi in alive:
             i_lo = max(a_lo, c_lo)
@@ -245,19 +263,6 @@ def _mask_exceptions(tree, exceptions, fid, lo, hi, poly) -> list[Piece]:
     return pieces
 
 
-def _common_refinement(f: ProcessSequence, fid: str, j: int):
-    from .model import _piece_grid
-
-    birth = f.tree.family_birth(fid)
-    return _piece_grid(f, fid, j + 1, birth)
-
-
-def _restrict(pieces: tuple[Piece, ...], lo: int, hi: Optional[int]) -> Poly:
-    from .model import _restrict_piece
-
-    return _restrict_piece(pieces, lo, hi)
-
-
 def decomposition_from_hedge(
     tree: TrajectoryTree,
     f: ProcessSequence,
@@ -265,9 +270,22 @@ def decomposition_from_hedge(
     hedge: HedgeSequence,
 ) -> Decomposition:
     """Fill in compensator increments for a given hedge (not verified here)."""
-    analysis = analyze(tree)
-    deltas = [rat(d) for d in deltas]
-    exceptions = _exception_set(tree, f, analysis)
+    exceptions = _exception_set(tree, f, analyze(tree), {})
+    return _from_hedge(
+        tree, f, [rat(d) for d in deltas], hedge, exceptions,
+        exceptions.covered_nodes(tree),
+    )
+
+
+def _from_hedge(
+    tree: TrajectoryTree,
+    f: ProcessSequence,
+    deltas: list[Fraction],
+    hedge: HedgeSequence,
+    exceptions: EventSet,
+    covered: set[str],
+) -> Decomposition:
+    """decomposition_from_hedge with the exception set and its covered nodes."""
     base = f[0].node_values[tree.root]
     alphas: list[PayoffSpec] = []
     for j in range(tree.horizon):
@@ -279,7 +297,7 @@ def decomposition_from_hedge(
             h = hedge.at(j, nd.nid)
             fj = f[j].node_values[nd.nid]
             for inc, child in nd.children:
-                if exceptions.covers_path(tree, child):
+                if child in covered:
                     alpha_nodes[child] = Fraction(0)
                 else:
                     alpha_nodes[child] = (
@@ -291,19 +309,23 @@ def decomposition_from_hedge(
                 for lo, hi, vpoly in f[j + 1].family_values[fid]:
                     alpha_poly = fam.poly.scale(h).shift(deltas[j] + fj) - vpoly
                     pieces.extend(
-                        _mask_exceptions(tree, exceptions, fid, lo, hi, alpha_poly)
+                        _mask_exceptions(
+                            tree, exceptions, covered, fid, lo, hi, alpha_poly
+                        )
                     )
                 alpha_fams[fid] = tuple(sorted(pieces))
         for fam in tree.families_born_by(j):
             if fam.fid in alpha_fams:
                 continue
             pieces = []
-            for lo, hi in _common_refinement(f, fam.fid, j):
-                nxt = _restrict(f[j + 1].family_values[fam.fid], lo, hi)
-                prv = _restrict(f[j].family_values[fam.fid], lo, hi)
+            for lo, hi in _piece_grid(f, fam.fid, j + 1, tree.family_birth(fam.fid)):
+                nxt = _restrict_piece(f[j + 1].family_values[fam.fid], lo, hi)
+                prv = _restrict_piece(f[j].family_values[fam.fid], lo, hi)
                 alpha_poly = Poly.constant(deltas[j]) - (nxt - prv)
                 pieces.extend(
-                    _mask_exceptions(tree, exceptions, fam.fid, lo, hi, alpha_poly)
+                    _mask_exceptions(
+                        tree, exceptions, covered, fam.fid, lo, hi, alpha_poly
+                    )
                 )
             alpha_fams[fam.fid] = tuple(sorted(pieces))
         spec = PayoffSpec(j + 1, alpha_nodes, alpha_fams)
@@ -319,7 +341,12 @@ def decomposition_from_hedge(
 def verify_decomposition(
     tree: TrajectoryTree, f: ProcessSequence, d: Decomposition
 ) -> tuple[bool, str]:
-    """Exact check of nonnegativity, reconstruction and exception containment."""
+    """Exact check of nonnegativity, reconstruction and exception containment.
+
+    Exception coverage, hedge gains and the compensator are carried from
+    parent to child in one pass, so the check is linear in the tree size; it
+    reads only ``d`` and re-derives everything else from the tree and f.
+    """
     analysis = analyze(tree)
     ok, why = d.exception_set.subset_of(tree, analysis.null_cover)
     if not ok:
@@ -328,12 +355,13 @@ def verify_decomposition(
         return False, "slack sequence invalid"
     if d.base != f[0].node_values[tree.root]:
         return False, "base differs from the initial value"
+    covered = d.exception_set.covered_nodes(tree)
 
     # compensator increments nonnegative off exceptions
     for j in range(tree.horizon):
         alpha = d.alphas[j]
         for nd in tree.nodes_at_time(j + 1):
-            if d.exception_set.covers_path(tree, nd.nid):
+            if nd.nid in covered:
                 continue
             if nd.nid not in alpha.node_values:
                 return False, f"missing compensator increment at {nd.nid!r}"
@@ -343,7 +371,7 @@ def verify_decomposition(
             if fam.fid not in alpha.family_values:
                 return False, f"missing compensator increments on {fam.fid!r}"
             for lo, hi, poly in alpha.family_values[fam.fid]:
-                for w_lo, w_hi in _alive_windows(tree, d.exception_set, fam.fid, lo, hi):
+                for w_lo, w_hi in _alive_windows(d.exception_set, covered, fam, lo, hi):
                     s = grid_summary(poly, w_lo, w_hi)
                     if s.has_neg:
                         n = grid_member_above(-poly, Fraction(0), w_lo, w_hi)
@@ -352,22 +380,31 @@ def verify_decomposition(
                             f"negative compensator increment on {fam.fid!r} n={n}",
                         )
 
-    # reconstruction identity, path by path
+    # reconstruction identity, node by node and member window by window
+    gains, comp = _gains_and_compensator(tree, d, covered)
+    member_comp: dict[str, list[tuple[int, Optional[int], Poly]]] = {}
     for i in range(tree.horizon + 1):
-        cum_delta = sum(d.deltas[:i], Fraction(0))
-        strat = SimpleStrategy(d.base + cum_delta, d.hedge)
+        capital = d.base + sum(d.deltas[:i], Fraction(0))
         for nd in tree.nodes_at_time(i):
-            if d.exception_set.covers_path(tree, nd.nid):
+            if nd.nid in covered:
                 continue
-            gains = wealth(tree, strat, nd.nid)
-            a_i = d.compensator_at_node(tree, nd.nid)
-            if f[i].node_values[nd.nid] != gains - a_i:
+            if f[i].node_values[nd.nid] != capital + gains[nd.nid] - comp[nd.nid]:
                 return False, f"reconstruction fails at {nd.nid!r} time {i}"
         for fam in tree.families_born_by(i):
-            base_gain = wealth_on_member(tree, strat, fam.fid)
-            a_path = _member_compensator(tree, d, fam.fid, i)
+            parent = tree.node(fam.parent)
+            if parent.nid in covered:
+                continue
+            h = d.hedge.at(parent.time, parent.nid)
+            base_gain = fam.poly.scale(h).shift(capital + gains[parent.nid])
+            if fam.fid not in member_comp:  # i is the family's birth
+                member_comp[fam.fid] = [
+                    (fam.n0, None, Poly.constant(comp[parent.nid]))
+                ]
+            a_path = member_comp[fam.fid] = _add_increments(
+                member_comp[fam.fid], d.alphas[i - 1].family_values[fam.fid]
+            )
             for lo, hi, a_poly in a_path:
-                for w_lo, w_hi in _alive_windows(tree, d.exception_set, fam.fid, lo, hi):
+                for w_lo, w_hi in _alive_windows(d.exception_set, covered, fam, lo, hi):
                     target = _piece_value(f[i].family_values[fam.fid], w_lo, w_hi)
                     diff = (base_gain - a_poly) - target
                     if diff.is_zero():
@@ -382,49 +419,62 @@ def verify_decomposition(
     # spot re-derivation of one-step domination off exceptions
     for j in range(tree.horizon):
         for nd in tree.nodes_at_time(j):
-            if nd.is_leaf or d.exception_set.covers_path(tree, nd.nid):
+            if nd.is_leaf or nd.nid in covered:
                 continue
             h = d.hedge.at(j, nd.nid)
             fj = f[j].node_values[nd.nid]
             for inc, child in nd.children:
-                if d.exception_set.covers_path(tree, child):
+                if child in covered:
                     continue
                 if f[j + 1].node_values[child] > fj + d.deltas[j] + h * inc:
                     return False, f"one-step domination fails into {child!r}"
     return True, ""
 
 
-def _alive_windows(tree, exceptions: EventSet, fid: str, lo: int, hi: Optional[int]):
-    fam = tree.family(fid)
-    if exceptions.covers_path(tree, fam.parent):
+def _gains_and_compensator(tree, d: Decomposition, covered: set[str]):
+    """Hedge gains and compensator A_i at every uncovered node, top down.
+
+    Gains exclude the capital; a child adds its parent's position times its
+    increment, and its own compensator increment.  Covered nodes (and so
+    their whole subtrees) are skipped."""
+    gains: dict[str, Fraction] = {}
+    comp: dict[str, Fraction] = {}
+    stack = []
+    if tree.root not in covered:
+        gains[tree.root] = comp[tree.root] = Fraction(0)
+        stack.append(tree.node(tree.root))
+    while stack:
+        node = stack.pop()
+        h = d.hedge.at(node.time, node.nid)
+        for inc, child in node.children:
+            if child in covered:
+                continue
+            gains[child] = gains[node.nid] + h * inc
+            comp[child] = comp[node.nid] + d.alphas[node.time].node_values[child]
+            stack.append(tree.node(child))
+    return gains, comp
+
+
+def _alive_windows(
+    exceptions: EventSet, covered: set[str], fam, lo: int, hi: Optional[int]
+):
+    """Member windows of [lo, hi] that the exceptions leave uncovered."""
+    if fam.parent in covered:
         return []
-    alive = [(lo, hi)]
-    from .analysis import _subtract_many
-
-    return _subtract_many(alive, exceptions.member_ranges(fid))
+    return _subtract_many([(lo, hi)], exceptions.member_ranges(fam.fid))
 
 
-def _member_compensator(tree, d: Decomposition, fid: str, i: int):
-    """Compensator A_i on members of fid as pieces (exact polynomials)."""
-    fam = tree.family(fid)
-    birth = tree.family_birth(fid)
-    parent_path = tree.path_to(fam.parent)
-    const = Fraction(0)
-    for j in range(min(birth - 1, i)):
-        const += d.alphas[j].node_values[parent_path[j + 1]]
-    pieces: list[tuple[int, Optional[int], Poly]] = [(fam.n0, None, Poly.constant(const))]
-    for j in range(birth - 1, i):
-        refined: list[tuple[int, Optional[int], Poly]] = []
-        for lo, hi, acc in pieces:
-            for p_lo, p_hi, inc_poly in d.alphas[j].family_values[fid]:
-                s_lo = max(lo, p_lo)
-                s_hi = p_hi if hi is None else (hi if p_hi is None else min(hi, p_hi))
-                if s_hi is not None and s_lo > s_hi:
-                    continue
-                if s_hi is None or s_lo <= s_hi:
-                    refined.append((s_lo, s_hi, acc + inc_poly))
-        pieces = sorted(refined)
-    return pieces
+def _add_increments(pieces, increments):
+    """Member compensator pieces plus one period's increment pieces."""
+    refined: list[tuple[int, Optional[int], Poly]] = []
+    for lo, hi, acc in pieces:
+        for p_lo, p_hi, inc_poly in increments:
+            s_lo = max(lo, p_lo)
+            s_hi = p_hi if hi is None else (hi if p_hi is None else min(hi, p_hi))
+            if s_hi is not None and s_lo > s_hi:
+                continue
+            refined.append((s_lo, s_hi, acc + inc_poly))
+    return sorted(refined)
 
 
 def _piece_value(pieces: tuple[Piece, ...], lo: int, hi: Optional[int]) -> Poly:
@@ -449,9 +499,6 @@ def decomposition_feasible(
     the pricing kernel, only null-cover cylinders are waived: failure of
     continuity from below at a non-null node does not excuse that node.
     """
-    from .pricing import ScanGroup, StepProblem, _step_feasible, solve_step, _member_diff
-    from .lp import AffinePiece
-
     analysis = analyze(tree)
     deltas = [rat(x) for x in deltas]
     cover = analysis.null_cover
@@ -497,8 +544,6 @@ def decomposition_feasible(
 
 
 def _hedge_exists(problem, target: Fraction) -> bool:
-    from .pricing import _asymptotic_value, _step_feasible, solve_step, value_bounds
-
     step = solve_step(problem)
     lo, hi = value_bounds(step.value)
     if hi == MINUS_INF:
@@ -511,16 +556,7 @@ def _hedge_exists(problem, target: Fraction) -> bool:
         return True
     if lo == target:
         return False
-    for direction in (-1, 1):
-        a = _asymptotic_value(problem, direction)
-        if a is None or (a != MINUS_INF and a >= target):
-            continue
-        h = Fraction(direction)
-        for _ in range(200):
-            if _step_feasible(problem, target, h):
-                return True
-            h *= 2
-    return False
+    return _drift_walk(problem, target) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,20 @@ def _kv(tokens, key, line_no, required=True) -> Optional[str]:
     return None
 
 
+def _after(tokens, key, line_no, message) -> str:
+    """The token that follows ``key``; ParseError(message) when there is none."""
+    if key not in tokens[:-1]:
+        raise ParseError(message, line_no)
+    return tokens[tokens.index(key) + 1]
+
+
+def _family(tree: TrajectoryTree, fid: str, line_no: int):
+    try:
+        return tree.family(fid)
+    except ModelError as exc:
+        raise ParseError(str(exc), line_no) from exc
+
+
 # ---------------------------------------------------------------------------
 # trees
 
@@ -117,10 +131,8 @@ def parse_tree(text: str) -> TrajectoryTree:
             progress = True
             try:
                 if toks[0] == "child":
-                    if "->" not in toks[:-1]:
-                        raise ParseError("child line needs '->' target", line_no)
+                    child = _after(toks, "->", line_no, "child line needs '->' target")
                     inc = _parse_rat(_kv(toks[2:], "inc", line_no), line_no)
-                    child = toks[toks.index("->") + 1]
                     if child in seen_edges:
                         raise ParseError(f"node {child!r} has two parents", line_no)
                     seen_edges.add(child)
@@ -199,14 +211,13 @@ def _parse_payoff_block(lines, tree: TrajectoryTree) -> PayoffSpec:
             val = MINUS_INF if toks[3] == "-inf" else _parse_rat(toks[3], line_no)
             node_values[toks[1]] = val
         elif kind == "at-family":
+            if len(toks) < 2:
+                raise ParseError("at-family line needs a family id", line_no)
             fid = toks[1]
             poly = _parse_poly(_kv(toks[2:], "poly", line_no), line_no)
             frm = _kv(toks[2:], "from", line_no, required=False)
             to = _kv(toks[2:], "to", line_no, required=False)
-            try:
-                fam = tree.family(fid)
-            except ModelError as exc:
-                raise ParseError(str(exc), line_no) from exc
+            fam = _family(tree, fid, line_no)
             lo = _parse_int(frm, line_no) if frm else fam.n0
             hi = _parse_int(to, line_no) if to else None
             fam_pieces.setdefault(fid, []).append((lo, hi, poly))
@@ -300,38 +311,50 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
         if kind == "decomposition":
             base = _parse_rat(_kv(toks[1:], "base", line_no), line_no)
         elif kind == "deltas":
+            if len(toks) < 2:
+                raise ParseError("deltas line needs comma-separated slacks", line_no)
             deltas = [_parse_rat(p, line_no) for p in toks[1].split(",")]
         elif kind == "hedge":
             t = _parse_int(_kv(toks[1:], "t", line_no), line_no)
-            nid = toks[toks.index("at") + 1]
+            nid = _after(
+                toks, "at", line_no, "expected: hedge t=<int> at <node-id> = <rational>"
+            )
             val = _parse_rat(toks[-1], line_no)
             hedge.set(t, nid, val)
         elif kind == "alpha":
             t = _parse_int(_kv(toks[1:], "t", line_no), line_no)
             slot = alphas.setdefault(t, {"nodes": {}, "fams": {}})
             if "at-family" in toks:
-                fid = toks[toks.index("at-family") + 1]
+                fid = _after(toks, "at-family", line_no, "at-family needs a family id")
                 poly = _parse_poly(_kv(toks, "poly", line_no), line_no)
                 frm = _kv(toks, "from", line_no, required=False)
                 to = _kv(toks, "to", line_no, required=False)
-                lo = _parse_int(frm, line_no) if frm else tree.family(fid).n0
+                lo = _parse_int(frm, line_no) if frm else _family(tree, fid, line_no).n0
                 hi = _parse_int(to, line_no) if to else None
                 slot["fams"].setdefault(fid, []).append((lo, hi, poly))
             else:
-                nid = toks[toks.index("at") + 1]
+                nid = _after(
+                    toks, "at", line_no, "expected: alpha t=<int> at <node-id> = <rational>"
+                )
                 slot["nodes"][nid] = _parse_rat(toks[-1], line_no)
         elif kind == "exception":
-            if toks[1] == "node":
+            if len(toks) >= 3 and toks[1] == "node":
                 atoms.append(NodeAtom(toks[2]))
-            elif toks[1] == "family":
+            elif len(toks) >= 4 and toks[1] == "family":
                 fid = toks[2]
                 ranges = []
                 for part in toks[3].split(","):
                     lo, _, hi = part.partition("-")
-                    ranges.append((int(lo), None if hi in ("", "inf") else int(hi)))
+                    ranges.append((
+                        _parse_int(lo, line_no),
+                        None if hi in ("", "inf") else _parse_int(hi, line_no),
+                    ))
                 atoms.append(FamilyAtom(fid, tuple(ranges)))
             else:
-                raise ParseError("bad exception atom", line_no)
+                raise ParseError(
+                    "expected: exception node <id> | exception family <id> <ranges>",
+                    line_no,
+                )
         else:
             raise ParseError(f"unknown decomposition directive {kind!r}", line_no)
     if base is None:

@@ -422,8 +422,15 @@ def one_step_feasible_hedge(
         return step.h
     if hi != MINUS_INF and lo == target and not step.attained:
         return None  # infimum equals the target but is never reached
-    # unattained infimum strictly below the target: walk out in the drift
-    # direction until the slack certifies feasibility
+    return _drift_walk(problem, target)
+
+
+def _drift_walk(problem: StepProblem, target: Fraction) -> Optional[Fraction]:
+    """Feasible h for an unattained infimum strictly below the target.
+
+    Walks out in each unblocked drift direction, doubling |h|, until the
+    slack certifies feasibility; None when no direction yields one.
+    """
     for direction in (-1, 1):
         a = _asymptotic_value(problem, direction)
         if a is None:
@@ -612,6 +619,14 @@ def one_step_price_of_next(
     analysis: Optional[Analysis] = None,
 ) -> StepResult:
     analysis = analysis or analyze(tree)
+    child_values, pieces = _next_values(tree, f, nid, analysis)
+    return one_step_superhedge(tree, nid, child_values, pieces, analysis)
+
+
+def _next_values(
+    tree: TrajectoryTree, f: ProcessSequence, nid: str, analysis: Analysis
+) -> tuple[dict[str, PriceValue], dict[str, Sequence[Piece]]]:
+    """Continuation values of f_{j+1} below nid (-inf where continuity fails)."""
     node = tree.node(nid)
     j = node.time
     child_values: dict[str, PriceValue] = {}
@@ -621,19 +636,46 @@ def one_step_price_of_next(
         else:
             child_values[child] = f[j + 1].node_values[child]
     pieces = {fid: f[j + 1].family_values[fid] for fid in node.families}
-    return one_step_superhedge(tree, nid, child_values, pieces, analysis)
+    return child_values, pieces
+
+
+def _next_step(
+    steps: dict[str, StepResult],
+    tree: TrajectoryTree,
+    f: ProcessSequence,
+    nid: str,
+    analysis: Analysis,
+) -> StepResult:
+    """one_step_price_of_next at nid, solved at most once per steps memo.
+
+    The memo is filled on demand, so the first request solves (and raises)
+    exactly where an unshared call would.  Callers own the memo and drop it
+    when their own call returns.
+    """
+    step = steps.get(nid)
+    if step is None:
+        step = steps[nid] = one_step_price_of_next(tree, f, nid, analysis)
+    return step
 
 
 def check_supermartingale(
     tree: TrajectoryTree, f: ProcessSequence
 ) -> tuple[bool, Optional[str]]:
     """One-step prices dominate the running values off the null cover."""
-    analysis = analyze(tree)
+    return _check_supermartingale(tree, f, analyze(tree), {})
+
+
+def _check_supermartingale(
+    tree: TrajectoryTree,
+    f: ProcessSequence,
+    analysis: Analysis,
+    steps: dict[str, StepResult],
+) -> tuple[bool, Optional[str]]:
     for j in range(tree.horizon):
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf or analysis.fully_covered(nd.nid):
                 continue
-            step = one_step_price_of_next(tree, f, nd.nid, analysis)
+            step = _next_step(steps, tree, f, nd.nid, analysis)
             lo, hi = value_bounds(step.value) if step.value != MINUS_INF else (
                 MINUS_INF, MINUS_INF
             )

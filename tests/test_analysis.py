@@ -233,6 +233,11 @@ def test_event_set_algebra(tree_6_2):
     assert not ok  # down members are not null
     ok, _ = EventSet([NodeAtom("u")]).subset_of(tree_6_2, null_cover(tree_6_2))
     assert ok
+    # the one-pass covered set agrees with covers_path node by node
+    t = binary_tree(3)
+    deep = EventSet([NodeAtom("rootu"), NodeAtom("rootdud")])
+    covered = {nid for nid in t.nodes if deep.covers_path(t, nid)}
+    assert len(covered) == 8 and deep.covered_nodes(t) == covered
 
 
 def test_report_renders_deterministically(tree_6_2):

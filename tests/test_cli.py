@@ -126,11 +126,42 @@ def test_malformed_tree_exits_2(capsys, tmp_path):
     assert rc == 2 and "line 3" in err
 
 
-@pytest.mark.parametrize("line", ["child r inc=1 ->", "child", "family"])
-def test_truncated_tree_line_exits_2(capsys, tmp_path, line):
+# (document, line): each line is the third of its document
+TRUNCATED_LINES = [
+    ("tree", "child r inc=1 ->"),
+    ("tree", "child"),
+    ("tree", "family"),
+    ("payoff", "at-family"),
+    ("decomposition", "deltas"),
+    ("decomposition", "hedge t=0 r = 1"),
+    ("decomposition", "hedge t=0 at"),
+    ("decomposition", "alpha t=0 u = 0"),
+    ("decomposition", "alpha t=0 at-family"),
+    ("decomposition", "alpha t=0 at-family nosuch poly=0"),
+    ("decomposition", "exception"),
+    ("decomposition", "exception node"),
+    ("decomposition", "exception family"),
+    ("decomposition", "exception family f x1-inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "document,line", [pytest.param(doc, line, id=line) for doc, line in TRUNCATED_LINES]
+)
+def test_truncated_tree_line_exits_2(
+    capsys, tmp_path, tree_file, process_file, document, line
+):
     bad = tmp_path / "bad.txt"
-    bad.write_text(f"tree s0=1 horizon=1\nnode r t=0\n{line}\n")
-    rc, _, err = run(capsys, "classify", str(bad))
+    if document == "tree":
+        bad.write_text(f"tree s0=1 horizon=1\nnode r t=0\n{line}\n")
+        argv = ["classify", str(bad)]
+    elif document == "payoff":
+        bad.write_text(f"payoff maturity=1\nat u = 0\n{line}\n")
+        argv = ["price", tree_file, str(bad), "--op", "sigma"]
+    else:
+        bad.write_text(f"decomposition base=0\ndeltas 1/10,1/10\n{line}\n")
+        argv = ["verify-decomp", tree_file, process_file, str(bad)]
+    rc, _, err = run(capsys, *argv)
     assert rc == 2 and "line 3" in err and "Traceback" not in err
 
 

@@ -86,6 +86,74 @@ def test_tampered_exception_set_detected(tree_6_2, process_6_2_b):
     assert not ok and "not null" in why
 
 
+def _generated_decomposition(seed: int):
+    rng = random.Random(seed)
+    tree = random_arbitrage_free_tree(rng, depth=3)
+    f = random_supermartingale(rng, tree)
+    d = doob_decompose(tree, f, [Q(1, 10)] * tree.horizon)
+    return tree, f, d
+
+
+def test_doob_solves_each_one_step_problem_once(monkeypatch):
+    from trajhedge import pricing
+    from trajhedge.analysis import NodeClass, analyze
+
+    solve = pricing.solve_step
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    rng = random.Random(17)
+    for _ in range(4):
+        tree = random_arbitrage_free_tree(rng, depth=4)
+        f = random_supermartingale(rng, tree)
+        analysis = analyze(tree)
+        internal = tree.internal_nodes()
+        unattained = sum(
+            1
+            for nd in internal
+            if analysis.node_class[nd.nid] is NodeClass.UP_DOWN
+            and not pricing.one_step_price_of_next(tree, f, nd.nid).attained
+        )
+        calls[0] = 0
+        monkeypatch.setattr(pricing, "solve_step", counting)
+        doob_decompose(tree, f, [Q(1, 10)] * tree.horizon)
+        monkeypatch.setattr(pricing, "solve_step", solve)
+        assert calls[0] <= len(internal) + unattained
+
+
+def test_tampered_node_compensator_detected():
+    tree, f, d = _generated_decomposition(5)
+    alpha = d.alphas[1].node_values
+    tampered = 0
+    for nd in tree.nodes_at_time(2):
+        if d.exception_set.covers_path(tree, nd.nid):
+            continue
+        alpha[nd.nid] += 1
+        ok, why = verify_decomposition(tree, f, d)
+        assert not ok and why == f"reconstruction fails at {nd.nid!r} time 2"
+        alpha[nd.nid] -= 1
+        tampered += 1
+    assert tampered and verify_decomposition(tree, f, d) == (True, "")
+
+
+def test_tampered_hedge_detected():
+    tree, f, d = _generated_decomposition(6)
+    tampered = 0
+    for nd in tree.nodes_at_time(1):
+        if d.exception_set.covers_path(tree, nd.nid) or all(inc == 0 for inc, _ in nd.children):
+            continue
+        h = d.hedge.at(1, nd.nid)
+        d.hedge.set(1, nd.nid, h + 1)
+        ok, why = verify_decomposition(tree, f, d)
+        assert not ok and any(repr(child) in why for _, child in nd.children)
+        d.hedge.set(1, nd.nid, h)
+        tampered += 1
+    assert tampered and verify_decomposition(tree, f, d) == (True, "")
+
+
 def test_constant_process_decomposes_to_zero_hedge():
     t = random_arbitrage_free_tree(random.Random(3))
     specs = [PayoffSpec.constant(t, j, Q(2)) for j in range(t.horizon + 1)]

@@ -22,6 +22,7 @@ from gen import (
     random_arbitrage_free_tree,
     random_family_tree,
     random_h3_tree,
+    random_no_measure_tree,
     random_payoff,
     random_supermartingale,
 )
@@ -175,6 +176,29 @@ def test_operators_agree_on_type_i_tree():
     # the moving branch is null: its huge values do not matter at the root
     assert vs[t.root] == 3
     assert i_bar(t, f).value == 3
+
+
+def test_lp_i_bar_matches_backward_on_generated_trees():
+    # the aggregated LP and the backward recursion are independent routes to
+    # the null-operator value; the LP is cubic-ish, so trees stay <= 30 nodes
+    from trajhedge.pricing import i_bar, i_bar_backward
+
+    rng = random.Random(58)
+    makers = [
+        (random_arbitrage_free_tree, 12),
+        (random_h3_tree, 12),
+        (random_family_tree, 10),
+        (random_no_measure_tree, 8),
+    ]
+    for make, count in makers:
+        done = 0
+        while done < count:
+            tree = make(rng)
+            if len(tree.nodes) > 30:
+                continue
+            done += 1
+            f = random_payoff(rng, tree, rng.randint(1, tree.horizon), nonneg=True)
+            assert i_bar(tree, f).value == i_bar_backward(tree, f), (make.__name__, done)
 
 
 def test_stopped_process_with_member_windows():
