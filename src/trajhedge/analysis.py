@@ -84,6 +84,12 @@ class EventSet:
     def is_empty(self) -> bool:
         return not self.node_atoms and not self.family_atoms
 
+    def copy(self) -> "EventSet":
+        out = EventSet()
+        out.node_atoms = set(self.node_atoms)
+        out.family_atoms = {fid: list(r) for fid, r in self.family_atoms.items()}
+        return out
+
     def covers_path(self, tree: TrajectoryTree, nid: str) -> bool:
         """Does the cylinder of some atom contain every trajectory through nid?
 

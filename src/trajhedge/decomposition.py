@@ -37,7 +37,14 @@ from .model import (
     wealth,
     wealth_on_member,
 )
-from .poly import Poly, grid_member_above, grid_summary, rat, ranges_excluding
+from .poly import (
+    Poly,
+    grid_member_above,
+    grid_summary,
+    intersect_ranges,
+    rat,
+    ranges_excluding,
+)
 from .pricing import (
     MINUS_INF,
     PricingError,
@@ -45,7 +52,7 @@ from .pricing import (
     StepProblem,
     StepResult,
     _check_supermartingale,
-    _drift_walk,
+    _feasible_position,
     _member_diff,
     _next_step,
     _next_values,
@@ -146,29 +153,17 @@ def _exception_set(
     analysis: Analysis,
     steps: dict[str, StepResult],
 ) -> EventSet:
-    """Failure cylinders, one-step violations and arbitrage moves.
+    """Arbitrage moves, failure cylinders and one-step violations.
 
-    Independent of the slack sequence by construction."""
-    ev = EventSet()
+    Starts from the null cover: its arbitrage moves, and its sure-win nodes,
+    which all fail continuity from below.  Independent of the slack sequence
+    by construction."""
+    ev = analysis.null_cover.copy()
     for nid, ok in analysis.l_holds.items():
         if not ok:
             ev.add(NodeAtom(nid))
     for nid in _violation_nodes(tree, f, analysis, steps):
         ev.add(NodeAtom(nid))
-    for nd in tree.nodes.values():
-        if analysis.node_class.get(nd.nid) in (
-            NodeClass.ARBITRAGE_I,
-            NodeClass.ARBITRAGE_II,
-        ):
-            for inc, child in nd.children:
-                if inc != 0:
-                    ev.add(NodeAtom(child))
-            for fid in nd.families:
-                fam = tree.family(fid)
-                zeros = grid_summary(fam.poly, fam.n0, None).zeros
-                ranges = ranges_excluding(fam.n0, None, list(zeros))
-                if ranges:
-                    ev.add(FamilyAtom(fid, tuple(ranges)))
     for j in range(tree.horizon):
         for fam in tree.families_born_by(j):
             wins = _member_violation_ranges(tree, f, fam.fid, j)
@@ -245,14 +240,14 @@ def _mask_exceptions(tree, exceptions, covered, fid, lo, hi, poly) -> list[Piece
         return [(lo, hi, Poly.constant(0))]
     pieces: list[Piece] = []
     alive = [(lo, hi)]
-    for c_lo, c_hi in exceptions.member_ranges(fid):
+    for cut in exceptions.member_ranges(fid):
         nxt = []
         for a_lo, a_hi in alive:
-            i_lo = max(a_lo, c_lo)
-            i_hi = a_hi if c_hi is None else (c_hi if a_hi is None else min(a_hi, c_hi))
-            if i_hi is not None and i_lo > i_hi:
+            meet = intersect_ranges((a_lo, a_hi), cut)
+            if meet is None:
                 nxt.append((a_lo, a_hi))
                 continue
+            i_lo, i_hi = meet
             if a_lo < i_lo:
                 nxt.append((a_lo, i_lo - 1))
             pieces.append((i_lo, i_hi, Poly.constant(0)))
@@ -405,7 +400,7 @@ def verify_decomposition(
             )
             for lo, hi, a_poly in a_path:
                 for w_lo, w_hi in _alive_windows(d.exception_set, covered, fam, lo, hi):
-                    target = _piece_value(f[i].family_values[fam.fid], w_lo, w_hi)
+                    target = _restrict_piece(f[i].family_values[fam.fid], w_lo, w_hi)
                     diff = (base_gain - a_poly) - target
                     if diff.is_zero():
                         continue
@@ -469,19 +464,10 @@ def _add_increments(pieces, increments):
     refined: list[tuple[int, Optional[int], Poly]] = []
     for lo, hi, acc in pieces:
         for p_lo, p_hi, inc_poly in increments:
-            s_lo = max(lo, p_lo)
-            s_hi = p_hi if hi is None else (hi if p_hi is None else min(hi, p_hi))
-            if s_hi is not None and s_lo > s_hi:
-                continue
-            refined.append((s_lo, s_hi, acc + inc_poly))
+            meet = intersect_ranges((lo, hi), (p_lo, p_hi))
+            if meet is not None:
+                refined.append((*meet, acc + inc_poly))
     return sorted(refined)
-
-
-def _piece_value(pieces: tuple[Piece, ...], lo: int, hi: Optional[int]) -> Poly:
-    for p_lo, p_hi, poly in pieces:
-        if p_lo <= lo and (p_hi is None or (hi is not None and hi <= p_hi)):
-            return poly
-    raise DecompositionError("piece grids do not align")
 
 
 # ---------------------------------------------------------------------------
@@ -517,21 +503,17 @@ def decomposition_feasible(
                 )
             for fid in sorted(nd.families):
                 fam = tree.family(fid)
-                for w_lo, w_hi in analysis.alive_member_ranges(fid):
+                for window in analysis.alive_member_ranges(fid):
                     for p_lo, p_hi, vpoly in f[j + 1].family_values[fid]:
-                        s_lo = max(w_lo, p_lo)
-                        s_hi = (
-                            p_hi
-                            if w_hi is None
-                            else (w_hi if p_hi is None else min(w_hi, p_hi))
-                        )
-                        if s_hi is not None and s_lo > s_hi:
-                            continue
-                        groups.append(ScanGroup(fid, fam.poly, vpoly, s_lo, s_hi))
+                        meet = intersect_ranges(window, (p_lo, p_hi))
+                        if meet is not None:
+                            groups.append(ScanGroup(fid, fam.poly, vpoly, *meet))
             problem = StepProblem(fixed, groups)
             if not fixed and not groups:
                 continue
-            if not _hedge_exists(problem, target):
+            step = solve_step(problem)
+            # a -inf one-step value needs no position at all
+            if step.value != MINUS_INF and _feasible_position(problem, step, target) is None:
                 return False, nd.nid
         for fam in tree.families_born_by(j):
             for w_lo, w_hi in analysis.alive_member_ranges(fam.fid):
@@ -541,22 +523,6 @@ def decomposition_feasible(
                     if s.has_pos or (s.limit is not None and s.limit > 0):
                         return False, f"family:{fam.fid}"
     return True, None
-
-
-def _hedge_exists(problem, target: Fraction) -> bool:
-    step = solve_step(problem)
-    lo, hi = value_bounds(step.value)
-    if hi == MINUS_INF:
-        return True
-    if hi > target:
-        if lo == hi:
-            return False
-        raise PricingError("feasibility undecided: interval-valued one-step price")
-    if step.attained:
-        return True
-    if lo == target:
-        return False
-    return _drift_walk(problem, target) is not None
 
 
 # ---------------------------------------------------------------------------

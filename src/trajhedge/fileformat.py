@@ -33,7 +33,7 @@ from .model import (
     ProcessSequence,
     TrajectoryTree,
 )
-from .poly import Poly, parse_rat, rat_str
+from .poly import Poly, intersect_ranges, parse_rat, rat_str
 
 
 class ParseError(ValueError):
@@ -326,12 +326,18 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
             slot = alphas.setdefault(t, {"nodes": {}, "fams": {}})
             if "at-family" in toks:
                 fid = _after(toks, "at-family", line_no, "at-family needs a family id")
+                fam = _family(tree, fid, line_no)
                 poly = _parse_poly(_kv(toks, "poly", line_no), line_no)
                 frm = _kv(toks, "from", line_no, required=False)
                 to = _kv(toks, "to", line_no, required=False)
-                lo = _parse_int(frm, line_no) if frm else _family(tree, fid, line_no).n0
+                lo = _parse_int(frm, line_no) if frm else fam.n0
                 hi = _parse_int(to, line_no) if to else None
-                slot["fams"].setdefault(fid, []).append((lo, hi, poly))
+                windows = slot["fams"].setdefault(fid, [])
+                if lo < fam.n0 or (hi is not None and hi < lo):
+                    raise ParseError(f"empty alpha window or one below n0={fam.n0}", line_no)
+                if any(intersect_ranges((lo, hi), w[:2]) for w in windows):
+                    raise ParseError(f"alpha windows of {fid!r} overlap at t={t}", line_no)
+                windows.append((lo, hi, poly))
             else:
                 nid = _after(
                     toks, "at", line_no, "expected: alpha t=<int> at <node-id> = <rational>"

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 from .poly import (
     Poly,
     grid_summary,
+    intersect_ranges,
     rat,
     rat_str,
     root_integer_neighbors,
@@ -382,11 +383,9 @@ def add_payoffs(tree: TrajectoryTree, f: PayoffSpec, g: PayoffSpec) -> PayoffSpe
         pieces: list[Piece] = []
         for lo_a, hi_a, pa in f.family_values[fid]:
             for lo_b, hi_b, pb in g.family_values[fid]:
-                lo = max(lo_a, lo_b)
-                hi = hi_a if hi_b is None else (hi_b if hi_a is None else min(hi_a, hi_b))
-                if hi is not None and lo > hi:
-                    continue
-                pieces.append((lo, hi, pa + pb))
+                meet = intersect_ranges((lo_a, hi_a), (lo_b, hi_b))
+                if meet is not None:
+                    pieces.append((*meet, pa + pb))
         fam_values[fid] = tuple(sorted(pieces))
     out = PayoffSpec(f.maturity, node_values, fam_values)
     out.validate(tree)
@@ -667,11 +666,11 @@ def _stopped_member_pieces(
     for t, lo, hi in windows:
         updated: list[tuple[int, Optional[int], Optional[int]]] = []
         for r_lo, r_hi, r_t in ranges:
-            inter_lo = max(r_lo, lo)
-            inter_hi = r_hi if hi is None else (hi if r_hi is None else min(r_hi, hi))
-            if inter_hi is not None and inter_lo > inter_hi:
+            meet = intersect_ranges((r_lo, r_hi), (lo, hi))
+            if meet is None:
                 updated.append((r_lo, r_hi, r_t))
                 continue
+            inter_lo, inter_hi = meet
             if r_lo < inter_lo:
                 updated.append((r_lo, inter_lo - 1, r_t))
             updated.append((inter_lo, inter_hi, t if r_t is None else min(r_t, t)))
@@ -696,12 +695,11 @@ def _member_piece_at(f: ProcessSequence, fid: str, k: int, lo: int, hi: Optional
 
 
 def _restrict_piece(pieces: tuple[Piece, ...], lo: int, hi: Optional[int]) -> Poly:
-    covering = [
-        p for p in pieces if p[0] <= lo and (p[1] is None or (hi is not None and hi <= p[1]))
-    ]
-    if not covering:
-        raise ModelError("stopped process needs a payoff piece split at member windows")
-    return covering[0][2]
+    """Polynomial of the piece that covers the member range [lo, hi]."""
+    for p_lo, p_hi, poly in pieces:
+        if p_lo <= lo and (p_hi is None or (hi is not None and hi <= p_hi)):
+            return poly
+    raise ModelError("piece grids do not align")
 
 
 def supermartingale_transform(

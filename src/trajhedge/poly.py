@@ -427,6 +427,18 @@ def grid_nonneg(p: Poly, n_lo: int, n_hi: Optional[int] = None):
     return (witness is None), witness
 
 
+def intersect_ranges(
+    *ranges: tuple[int, Optional[int]]
+) -> Optional[tuple[int, Optional[int]]]:
+    """Members common to the ranges [lo, hi] (hi None: unbounded), or None."""
+    lo = max(r_lo for r_lo, _ in ranges)
+    his = [r_hi for _, r_hi in ranges if r_hi is not None]
+    hi = min(his) if his else None
+    if hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
 def ranges_excluding(
     n_lo: int, n_hi: Optional[int], excluded: Sequence[int]
 ) -> list[tuple[int, Optional[int]]]:

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .analysis import Analysis, EventSet, analyze
+from .analysis import Analysis, EventSet, IncrementSummary, analyze
 from .lp import AffinePiece, MinMaxResult, min_max_affine, minimize
 from .model import (
     MINUS_INF,
     HedgeSequence,
+    Node,
     PayoffSpec,
     Piece,
     ProcessSequence,
@@ -41,7 +42,7 @@ from .model import (
     TrajectoryTree,
     abs_payoff,
 )
-from .poly import Poly, grid_member_above, grid_summary, rat_str
+from .poly import Poly, grid_member_above, grid_summary, intersect_ranges, rat_str
 
 DRIFT_THRESHOLD = Fraction(10**6)
 MAX_ROUNDS = 200
@@ -126,6 +127,13 @@ class ScanGroup:
             f"family:{self.fid}:limit",
         )
 
+    def seed_pieces(self) -> list[AffinePiece]:
+        """The exchange loop's opening members: the limit and the first four."""
+        seeds = [self.limit_piece()] if self.n_hi is None else []
+        top = self.n_lo + 3 if self.n_hi is None else min(self.n_lo + 3, self.n_hi)
+        seeds.extend(self.piece_at(n) for n in range(self.n_lo, top + 1))
+        return seeds
+
 
 @dataclass
 class StepProblem:
@@ -143,6 +151,11 @@ class StepResult:
     note: str = ""
 
 
+def _harvested(s: IncrementSummary, inc: Fraction) -> bool:
+    """Is the move a harvested cylinder (one-sided increments at the node)?"""
+    return (s.plus_ray and inc > 0) or (s.minus_ray and inc < 0)
+
+
 def _build_step_problem(
     tree: TrajectoryTree,
     analysis: Analysis,
@@ -153,47 +166,52 @@ def _build_step_problem(
     node = tree.node(nid)
     s = analysis.summaries[nid]
     fixed: list[AffinePiece] = []
-    groups: list[ScanGroup] = []
     for inc, child in sorted(node.children, key=lambda c: c[1]):
         v = child_values[child]
-        if v == MINUS_INF:
+        if v == MINUS_INF or _harvested(s, inc):
             continue
-        if s.plus_ray and inc > 0:
-            continue
-        if s.minus_ray and inc < 0:
-            continue
-        lo, hi = value_bounds(v)
         # a child interval enters through its upper bound (safe superhedge)
-        fixed.append(AffinePiece(inc, hi, f"node:{child}"))
+        fixed.append(AffinePiece(inc, value_bounds(v)[1], f"node:{child}"))
+    members, groups = _family_constraints(tree, s, node, family_pieces)
+    return StepProblem(fixed + members, groups)
+
+
+def _family_constraints(
+    tree: TrajectoryTree,
+    s: IncrementSummary,
+    node: Node,
+    family_pieces: dict[str, Sequence[Piece]],
+) -> tuple[list[AffinePiece], list[ScanGroup]]:
+    """Member constraints of a node's families, as plain pieces and scan groups.
+
+    At a harvest node every moving member is a harvested cylinder, so only
+    the zero-increment members constrain; elsewhere member ranges of at most
+    EXPAND_LIMIT become plain pieces and the rest stay scan groups."""
+    fixed: list[AffinePiece] = []
+    groups: list[ScanGroup] = []
     for fid in sorted(node.families):
         fam = tree.family(fid)
         if fid not in family_pieces:
             raise PricingError(f"no continuation values for family {fid!r}")
-        killed_ray = (s.plus_ray or s.minus_ray) and not fam.poly.is_zero()
-        if killed_ray:
+        scans = [
+            ScanGroup(fid, fam.poly, vpoly, lo, hi)
+            for lo, hi, vpoly in family_pieces[fid]
+        ]
+        if s.plus_ray or s.minus_ray:
             zeros = grid_summary(fam.poly, fam.n0, None).zeros
-            for lo_p, hi_p, vpoly in family_pieces[fid]:
-                for n in zeros:
-                    if n >= lo_p and (hi_p is None or n <= hi_p):
-                        fixed.append(
-                            AffinePiece(
-                                Fraction(0), vpoly.at_index(n), f"family:{fid}:n={n}"
-                            )
-                        )
+            for g in scans:
+                fixed.extend(
+                    g.piece_at(n)
+                    for n in zeros
+                    if n >= g.n_lo and (g.n_hi is None or n <= g.n_hi)
+                )
             continue
-        for lo_p, hi_p, vpoly in family_pieces[fid]:
-            if hi_p is not None and hi_p - lo_p + 1 <= EXPAND_LIMIT:
-                for n in range(lo_p, hi_p + 1):
-                    fixed.append(
-                        AffinePiece(
-                            fam.poly.at_index(n),
-                            vpoly.at_index(n),
-                            f"family:{fid}:n={n}",
-                        )
-                    )
+        for g in scans:
+            if g.n_hi is not None and g.n_hi - g.n_lo + 1 <= EXPAND_LIMIT:
+                fixed.extend(g.piece_at(n) for n in range(g.n_lo, g.n_hi + 1))
             else:
-                groups.append(ScanGroup(fid, fam.poly, vpoly, lo_p, hi_p))
-    return StepProblem(fixed, groups)
+                groups.append(g)
+    return fixed, groups
 
 
 def _group_violation(group: ScanGroup, V: Fraction, h: Fraction):
@@ -274,11 +292,7 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
     """Exact value of the one-step program, attained flag and certificate."""
     working: list[AffinePiece] = list(problem.fixed)
     for g in problem.groups:
-        if g.n_hi is None:
-            working.append(g.limit_piece())
-        top = g.n_lo + 3 if g.n_hi is None else min(g.n_lo + 3, g.n_hi)
-        for n in range(g.n_lo, top + 1):
-            working.append(g.piece_at(n))
+        working.extend(g.seed_pieces())
         if g.n_hi is not None:
             working.append(g.piece_at(g.n_hi))
     seen = {p.label for p in working}
@@ -412,30 +426,32 @@ def one_step_feasible_hedge(
     )
     if not problem.fixed and not problem.groups:
         return Fraction(0)
-    step = solve_step(problem)
+    return _feasible_position(problem, solve_step(problem), target)
+
+
+def _feasible_position(
+    problem: StepProblem, step: StepResult, target: Fraction
+) -> Optional[Fraction]:
+    """A finite h with target >= value - h * slope on every constraint.
+
+    ``step`` is ``solve_step(problem)``.  None exactly when no finite
+    position exists; an interval-valued step above the target is undecided
+    and raises ``UnconvergedError``.
+    """
     lo, hi = value_bounds(step.value)
     if hi != MINUS_INF and hi > target:
         if lo == hi:
             return None
         raise UnconvergedError(Interval(lo, hi))
-    if step.attained and hi <= target:
+    if step.attained:
         return step.h
-    if hi != MINUS_INF and lo == target and not step.attained:
+    if hi != MINUS_INF and lo == target:
         return None  # infimum equals the target but is never reached
-    return _drift_walk(problem, target)
-
-
-def _drift_walk(problem: StepProblem, target: Fraction) -> Optional[Fraction]:
-    """Feasible h for an unattained infimum strictly below the target.
-
-    Walks out in each unblocked drift direction, doubling |h|, until the
-    slack certifies feasibility; None when no direction yields one.
-    """
+    # an unattained infimum below the target: walk out in each unblocked
+    # drift direction, doubling |h|, until the slack certifies feasibility
     for direction in (-1, 1):
         a = _asymptotic_value(problem, direction)
-        if a is None:
-            continue
-        if a != MINUS_INF and a >= target:
+        if a is None or (a != MINUS_INF and a >= target):
             continue
         h = Fraction(direction)
         for _ in range(200):
@@ -449,14 +465,11 @@ def _drift_walk(problem: StepProblem, target: Fraction) -> Optional[Fraction]:
 # sigma_bar: backward induction
 
 
-@dataclass
+@dataclass(slots=True)
 class _NodeEval:
     value: PriceValue
     attained: bool
     h: Optional[Fraction]
-    tight_children: list[str]
-    active: list[str]
-    note: str = ""
 
 
 def sigma_bar(
@@ -467,39 +480,8 @@ def sigma_bar(
 ) -> PriceResult:
     """Conditional superhedging price of f at a node (default: the root)."""
     nid = nid if nid is not None else tree.root
-    analysis = analyze(tree)
-    f.validate(tree)
-    memo: dict[str, _NodeEval] = {}
-
-    def ev(cur: str) -> _NodeEval:
-        if cur in memo:
-            return memo[cur]
-        node = tree.node(cur)
-        if analysis.l_fails(cur):
-            out = _NodeEval(
-                MINUS_INF, False, None, [], [], "continuity from below fails"
-            )
-        elif node.time >= f.maturity:
-            site = tree.ancestor_at(cur, f.maturity)
-            v = f.node_values[site]
-            out = _NodeEval(v, v != MINUS_INF, Fraction(0), [], [f"payoff:{site}"])
-        else:
-            child_values = {child: ev(child).value for _, child in node.children}
-            pieces = {fid: f.family_values[fid] for fid in node.families}
-            step = one_step_superhedge(
-                tree, cur, child_values, pieces, analysis, tolerance
-            )
-            attained = step.attained and all(
-                ev(c).attained for c in step.tight_children
-            )
-            out = _NodeEval(
-                step.value, attained, step.h, step.tight_children, step.active,
-                step.note,
-            )
-        memo[cur] = out
-        return out
-
-    top = ev(nid)
+    memo, active, note = _sigma_pass(tree, f, [nid], tolerance)
+    top = memo[nid]
     hedge = HedgeSequence()
     for sub in tree.subtree(nid):
         e = memo.get(sub)
@@ -511,7 +493,7 @@ def sigma_bar(
         strategy = SimpleStrategy(
             top.value, hedge, start_time=tree.node(nid).time, start_node=nid
         )
-    return PriceResult(top.value, top.attained, strategy, top.active, top.note)
+    return PriceResult(top.value, top.attained, strategy, active, note)
 
 
 def sigma_bar_all(
@@ -520,31 +502,57 @@ def sigma_bar_all(
     tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> dict[str, PriceValue]:
     """Conditional outer price of f at every node, in one shared recursion."""
+    order = [nd.nid for nd in sorted(tree.nodes.values(), key=lambda n: -n.time)]
+    memo = _sigma_pass(tree, f, order, tolerance)[0]
+    return {nid: e.value for nid, e in memo.items()}
+
+
+def _sigma_pass(
+    tree: TrajectoryTree,
+    f: PayoffSpec,
+    starts: Sequence[str],
+    tolerance: Fraction,
+) -> tuple[dict[str, _NodeEval], list[str], str]:
+    """Backward induction of the one-step kernel from each start node in turn.
+
+    Returns value, attained flag and position for every node evaluated, plus
+    the active labels and note of the node evaluated last (with a single
+    start node, that node's)."""
     analysis = analyze(tree)
     f.validate(tree)
-    memo: dict[str, PriceValue] = {}
+    memo: dict[str, _NodeEval] = {}
+    last: tuple[list[str], str] = ([], "")
 
-    def ev(cur: str) -> PriceValue:
+    def ev(cur: str) -> _NodeEval:
+        nonlocal last
         if cur in memo:
             return memo[cur]
         node = tree.node(cur)
         if analysis.l_fails(cur):
-            out: PriceValue = MINUS_INF
+            out = _NodeEval(MINUS_INF, False, None)
+            last = ([], "continuity from below fails")
         elif node.time >= f.maturity:
-            out = f.node_values[tree.ancestor_at(cur, f.maturity)]
+            site = tree.ancestor_at(cur, f.maturity)
+            v = f.node_values[site]
+            out = _NodeEval(v, v != MINUS_INF, Fraction(0))
+            last = ([f"payoff:{site}"], "")
         else:
-            child_values = {child: ev(child) for _, child in node.children}
+            child_values = {child: ev(child).value for _, child in node.children}
             pieces = {fid: f.family_values[fid] for fid in node.families}
             step = one_step_superhedge(
                 tree, cur, child_values, pieces, analysis, tolerance
             )
-            out = step.value
+            attained = step.attained and all(
+                ev(c).attained for c in step.tight_children
+            )
+            out = _NodeEval(step.value, attained, step.h)
+            last = (step.active, step.note)
         memo[cur] = out
         return out
 
-    for nd in sorted(tree.nodes.values(), key=lambda n: -n.time):
-        ev(nd.nid)
-    return memo
+    for start in starts:
+        ev(start)
+    return memo, *last
 
 
 def i_bar_backward_all(
@@ -712,28 +720,16 @@ def _member_diff(f: ProcessSequence, fid: str, j: int, lo: int, hi: Optional[int
         # previous value is the parent's node value at time j
         prev_const = f[j].node_values[tree.ancestor_at(tree.family(fid).parent, j)]
         for p_lo, p_hi, poly in f[j + 1].family_values[fid]:
-            s_lo, s_hi = max(p_lo, lo), _min_hi(p_hi, hi)
-            if s_hi is not None and s_lo > s_hi:
-                continue
-            out.append((s_lo, s_hi, poly.shift(-prev_const)))
+            meet = intersect_ranges((p_lo, p_hi), (lo, hi))
+            if meet is not None:
+                out.append((*meet, poly.shift(-prev_const)))
         return out
     for p_lo, p_hi, poly_next in f[j + 1].family_values[fid]:
         for q_lo, q_hi, poly_prev in f[j].family_values[fid]:
-            s_lo = max(p_lo, q_lo, lo)
-            s_hi = _min_hi(_min_hi(p_hi, q_hi), hi)
-            if s_hi is not None and s_lo > s_hi:
-                continue
-            if s_hi is None or s_lo <= s_hi:
-                out.append((s_lo, s_hi, poly_next - poly_prev))
+            meet = intersect_ranges((p_lo, p_hi), (q_lo, q_hi), (lo, hi))
+            if meet is not None:
+                out.append((*meet, poly_next - poly_prev))
     return out
-
-
-def _min_hi(a: Optional[int], b: Optional[int]) -> Optional[int]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -761,104 +757,49 @@ def i_bar(
         v = f.node_values[site]
         return PriceResult(v, True, None, [f"payoff:{site}"])
 
-    # ---- collect alive structure ------------------------------------------
+    # ---- rows of every surviving node's step, on its owner's wealth ---------
     var_of: dict[str, int] = {}
     wealth: dict[str, dict[int, Fraction]] = {nid: {0: Fraction(1)}}
     rows: list[tuple[dict[int, Fraction], Fraction, str]] = []
     groups: list[tuple[str, ScanGroup]] = []  # (owner node, group)
 
-    order: list[str] = []
+    def row(owner: str, p: AffinePiece):
+        """Wealth of the owner plus the piece's slope times the owner's position."""
+        w = dict(wealth[owner])
+        hv = var_of.get(owner)
+        if hv is not None and p.slope != 0:
+            w[hv] = w.get(hv, Fraction(0)) + p.slope
+        return (w, p.value, p.label)
+
     stack = [nid]
     while stack:
         cur = stack.pop()
-        order.append(cur)
         node = tree.node(cur)
-        if node.time >= f.maturity:
-            continue
-        s = analysis.summaries[cur]
-        for inc, child in sorted(node.children, key=lambda c: c[1], reverse=True):
-            if (s.plus_ray and inc > 0) or (s.minus_ray and inc < 0):
-                continue  # harvested cylinder: no constraints inside
-            stack.append(child)
-
-    def hvar(owner: str) -> int:
-        if owner not in var_of:
-            var_of[owner] = len(var_of) + 1
-        return var_of[owner]
-
-    for cur in order:
-        node = tree.node(cur)
-        w = wealth[cur]
-        rows.append((dict(w), Fraction(0), f"floor:{cur}"))
+        rows.append((dict(wealth[cur]), Fraction(0), f"floor:{cur}"))
         if node.time >= f.maturity:
             # a bad site's whole future is harvestable: its claim is waived
             if analysis.good[cur]:
-                rows.append((dict(w), f.node_values[cur], f"payoff:{cur}"))
+                rows.append((dict(wealth[cur]), f.node_values[cur], f"payoff:{cur}"))
             continue
         s = analysis.summaries[cur]
-        alive_children = [
+        alive = [
             (inc, child)
             for inc, child in sorted(node.children, key=lambda c: c[1])
-            if not ((s.plus_ray and inc > 0) or (s.minus_ray and inc < 0))
+            if not _harvested(s, inc)
         ]
-        needs_hedge = any(inc != 0 for inc, _ in alive_children)
-        fam_alive: list[tuple[str, bool]] = []
-        for fid in sorted(node.families):
-            fam = tree.family(fid)
-            killed = (s.plus_ray or s.minus_ray) and not fam.poly.is_zero()
-            fam_alive.append((fid, killed))
-            if not killed:
-                needs_hedge = True
-        hv = hvar(cur) if needs_hedge else None
-        for inc, child in alive_children:
-            cw = dict(w)
-            if hv is not None and inc != 0:
-                cw[hv] = cw.get(hv, Fraction(0)) + inc
-            wealth[child] = cw
-        for fid, killed in fam_alive:
-            fam = tree.family(fid)
-            if killed:
-                zeros = grid_summary(fam.poly, fam.n0, None).zeros
-                for lo_p, hi_p, vpoly in f.family_values[fid]:
-                    for n in zeros:
-                        if n >= lo_p and (hi_p is None or n <= hi_p):
-                            rows.append(
-                                (dict(w), vpoly.at_index(n), f"family:{fid}:n={n}")
-                            )
-                continue
-            for lo_p, hi_p, vpoly in f.family_values[fid]:
-                if hi_p is not None and hi_p - lo_p + 1 <= EXPAND_LIMIT:
-                    for n in range(lo_p, hi_p + 1):
-                        cw = dict(w)
-                        if hv is not None:
-                            cw[hv] = cw.get(hv, Fraction(0)) + fam.poly.at_index(n)
-                        rows.append((cw, vpoly.at_index(n), f"family:{fid}:n={n}"))
-                else:
-                    groups.append((cur, ScanGroup(fid, fam.poly, vpoly, lo_p, hi_p)))
+        members, fam_groups = _family_constraints(tree, s, node, f.family_values)
+        if fam_groups or any(inc != 0 for inc, _ in alive):
+            var_of[cur] = len(var_of) + 1
+        for inc, child in alive:
+            wealth[child] = row(cur, AffinePiece(inc, Fraction(0), f"node:{child}"))[0]
+        rows.extend(row(cur, p) for p in members)
+        groups.extend((cur, g) for g in fam_groups)
+        stack.extend(child for _, child in reversed(alive))
 
     # seed rows for scan groups: limit + first members
     work_rows = list(rows)
-    seen: set[str] = set()
-
-    def group_row(owner: str, g: ScanGroup, n: Optional[int]):
-        w = dict(wealth[owner])
-        hv = var_of.get(owner)
-        if n is None:
-            slope, v = g.dpoly.constant_term, g.vpoly.constant_term
-            label = f"family:{g.fid}:limit"
-        else:
-            slope, v = g.dpoly.at_index(n), g.vpoly.at_index(n)
-            label = f"family:{g.fid}:n={n}"
-        if hv is not None and slope != 0:
-            w[hv] = w.get(hv, Fraction(0)) + slope
-        return (w, v, label)
-
     for owner, g in groups:
-        if g.n_hi is None:
-            work_rows.append(group_row(owner, g, None))
-        top = g.n_lo + 3 if g.n_hi is None else min(g.n_lo + 3, g.n_hi)
-        for n in range(g.n_lo, top + 1):
-            work_rows.append(group_row(owner, g, n))
+        work_rows.extend(row(owner, p) for p in g.seed_pieces())
     seen = {label for _, _, label in work_rows}
 
     nvars = len(var_of) + 1
@@ -877,29 +818,20 @@ def i_bar(
             raise PricingError(f"nonnegative-wealth program {sol.status}")
         violations = []
         for owner, g in groups:
-            w_here = sum(
-                coef * sol.x[i] for i, coef in wealth[owner].items()
-            )
+            w_here = sum(coef * sol.x[i] for i, coef in wealth[owner].items())
             hv = var_of.get(owner)
             h_here = sol.x[hv] if hv is not None else Fraction(0)
-            psi = g.vpoly - g.dpoly.scale(h_here)
-            psi = psi.shift(-w_here)
-            s = grid_summary(psi, g.n_lo, g.n_hi)
-            worst_n = None
-            if s.max_val > 0:
-                worst_n = s.max_arg
-            elif s.limit is not None and s.limit > 0:
-                worst_n = grid_member_above(psi, Fraction(0), g.n_lo, g.n_hi)
-            if worst_n is not None:
-                violations.append((psi.at_index(worst_n), owner, g, worst_n))
+            n, viol = _group_violation(g, w_here, h_here)
+            if n is not None:
+                violations.append((viol, owner, g, n))
         if not violations:
             result = (sol, work_rows)
             break
         for viol, owner, g, n in sorted(violations, key=lambda t: -t[0]):
-            label = f"family:{g.fid}:n={n}"
-            if label not in seen:
-                seen.add(label)
-                work_rows.append(group_row(owner, g, n))
+            p = g.piece_at(n)
+            if p.label not in seen:
+                seen.add(p.label)
+                work_rows.append(row(owner, p))
     if result is None:
         worst = max(v for v, *_ in violations)
         interval = Interval(sol.value, sol.value + worst)
@@ -955,13 +887,7 @@ def _i_bar_backward_memo(
             else:
                 out = f.node_values[tree.ancestor_at(cur, f.maturity)]
         else:
-            s = analysis.summaries[cur]
-            child_values = {}
-            for inc, child in node.children:
-                if (s.plus_ray and inc > 0) or (s.minus_ray and inc < 0):
-                    child_values[child] = MINUS_INF  # harvested cylinder
-                else:
-                    child_values[child] = ev(child)
+            child_values = {child: ev(child) for _, child in node.children}
             pieces = {fid: f.family_values[fid] for fid in node.families}
             problem = _build_step_problem(tree, analysis, cur, child_values, pieces)
             if not problem.fixed and not problem.groups:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trajhedge
 from trajhedge.cli import main
 
 from conftest import corpus_text
@@ -119,6 +124,42 @@ def test_corpus_runs_clean(capsys):
     assert "FAIL" not in out
 
 
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's trajhedge."""
+    src = str(Path(trajhedge.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=env, timeout=300
+    )
+
+
+def test_corpus_output_unchanged_under_optimize():
+    # library invariants must not rest on assert, which -O strips
+    plain = _run_python("-m", "trajhedge.cli", "corpus")
+    optimized = _run_python("-O", "-m", "trajhedge.cli", "corpus")
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert plain.stdout and optimized.stdout == plain.stdout
+
+
+STDLIB_ONLY = """
+import contextlib, io, sys
+before = set(sys.modules)
+import trajhedge
+from trajhedge.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    if main(["corpus"]) != 0:
+        sys.exit("corpus failed")
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"trajhedge"})))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    done = _run_python("-c", STDLIB_ONLY)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().split() == []
+
+
 def test_malformed_tree_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("tree s0=1 horizon=1\nnode r t=0\nchild r inc=x -> a\n")
@@ -142,6 +183,9 @@ TRUNCATED_LINES = [
     ("decomposition", "exception node"),
     ("decomposition", "exception family"),
     ("decomposition", "exception family f x1-inf"),
+    ("decomposition", "alpha t=1 at-family down poly=1/10 from=0"),
+    ("decomposition", "alpha t=1 at-family down poly=1/10 from=5 to=3"),
+    ("decomposition", "alpha t=1 at-family nosuch poly=0 from=1"),
 ]
 
 
@@ -163,6 +207,38 @@ def test_truncated_tree_line_exits_2(
         argv = ["verify-decomp", tree_file, process_file, str(bad)]
     rc, _, err = run(capsys, *argv)
     assert rc == 2 and "line 3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "windows,ok",
+    [
+        (("from=1", "from=1"), False),
+        (("from=1 to=5", "from=3"), False),
+        (("from=3", "from=1 to=3"), False),
+        (("from=1 to=2", "from=3"), True),
+    ],
+)
+def test_alpha_windows_of_one_family(
+    capsys, tmp_path, tree_file, process_file, windows, ok
+):
+    good = tmp_path / "good.txt"
+    rc, _, _ = run(
+        capsys, "decompose", tree_file, process_file, "--delta", "1/10,1/10",
+        "-o", str(good),
+    )
+    assert rc == 0
+    line = "alpha t=1 at-family down poly=1/10 from=1"
+    text = good.read_text()
+    lines = text.splitlines()
+    at = lines.index(line)
+    split = "\n".join(f"alpha t=1 at-family down poly=1/10 {w}" for w in windows)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(line, split))
+    rc, out, err = run(capsys, "verify-decomp", tree_file, process_file, str(bad))
+    if ok:
+        assert rc == 0 and out.strip() == "PASS"
+    else:
+        assert rc == 2 and f"line {at + 2}" in err and "overlap" in err
 
 
 def test_determinism(capsys, tree_file, payoff_file):

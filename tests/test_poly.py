@@ -1,6 +1,7 @@
 """Grid analysis is checked against brute-force enumeration of the grid,
 and the integer Sturm kernel against a Fraction-only reference copy."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from trajhedge.poly import (
     grid_member_above,
     grid_nonneg,
     grid_summary,
+    intersect_ranges,
     parse_rat,
     ranges_excluding,
     rat_str,
@@ -135,6 +137,26 @@ def test_ranges_excluding():
     assert ranges_excluding(2, 10, [2, 10]) == [(3, 9)]
     assert ranges_excluding(1, 4, []) == [(1, 4)]
     assert ranges_excluding(1, 2, [1, 2]) == []
+
+
+def test_intersect_ranges_matches_member_sets():
+    # hi None is unbounded: members up to 12 stand for it, and the meet is
+    # unbounded exactly when every range is
+    bounds = [(lo, hi) for lo in range(1, 6) for hi in [None, *range(1, 6)]]
+    bounds = [(lo, hi) for lo, hi in bounds if hi is None or lo <= hi]
+    for ranges in itertools.product(bounds, repeat=2):
+        for extra in ([], [(3, None)]):
+            rs = list(ranges) + extra
+            common = set.intersection(
+                *(set(range(lo, 13 if hi is None else hi + 1)) for lo, hi in rs)
+            )
+            meet = intersect_ranges(*rs)
+            if not common:
+                assert meet is None
+                continue
+            lo, hi = meet
+            assert lo == min(common)
+            assert hi == (None if all(h is None for _, h in rs) else max(common))
 
 
 # ---------------------------------------------------------------------------

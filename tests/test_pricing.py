@@ -3,15 +3,17 @@ from fractions import Fraction as Q
 
 import pytest
 
-from trajhedge.analysis import EventSet, FamilyAtom, NodeAtom, analyze
+from trajhedge.analysis import EventSet, FamilyAtom, NodeAtom, NodeClass, analyze
 from trajhedge.fileformat import parse_payoff
 from trajhedge.lp import AffinePiece, min_max_affine, minimize
 from trajhedge.model import MINUS_INF, PayoffSpec, TrajectoryTree, wealth, wealth_on_member
 from trajhedge.poly import Poly
 from trajhedge.pricing import (
+    EXPAND_LIMIT,
     check_integrable,
     check_supermartingale,
     i_bar,
+    i_bar_backward,
     indicator_payoff,
     is_null,
     norm_j,
@@ -218,3 +220,55 @@ def test_supermartingale_check_rejects_increasing_constants():
     specs = [PayoffSpec.constant(t, j, Q(j)) for j in range(3)]
     ok, witness = check_supermartingale(t, ProcessSequence(t, specs))
     assert not ok and witness == t.root
+
+
+# ---------------------------------------------------------------------------
+# member ranges at the EXPAND_LIMIT boundary
+
+
+@pytest.mark.parametrize("members", [EXPAND_LIMIT, EXPAND_LIMIT + 1])
+def test_expand_limit_boundary_at_up_down_node(members):
+    # a member range of at most EXPAND_LIMIT becomes plain rows, a longer one
+    # a bounded scan group; V >= h on the down move and V >= 1 - h/n on the
+    # members n <= K leave V = h = K/(K+1) either way
+    t = TrajectoryTree(0, 1)
+    t.add_child(t.root, -1, "d")
+    t.add_family(t.root, Poly.parse("0,1"), 1, "f")
+    f = PayoffSpec(
+        1,
+        {"d": Q(0)},
+        {"f": ((1, members, Poly.constant(1)), (members + 1, None, Poly.constant(0)))},
+    )
+    want = Q(members, members + 1)
+    s = sigma_bar(t, f)
+    assert s.value == want and s.attained
+    assert s.hedge.hedge.at(0, t.root) == want
+    r = i_bar(t, f)
+    assert r.value == want and r.attained
+    assert r.hedge.initial_capital == want
+    assert r.hedge.hedge.at(0, t.root) == want
+    assert i_bar_backward(t, f) == want
+
+
+@pytest.mark.parametrize("members", [EXPAND_LIMIT, EXPAND_LIMIT + 1])
+def test_expand_limit_boundary_at_killed_ray_node(members):
+    # increments -1 and 1/n - 1/10 (n >= 10) never go up, and member 10 does
+    # not move: a type-I node where only that member constrains, whatever
+    # the size of its payoff piece
+    t = TrajectoryTree(0, 1)
+    t.add_child(t.root, -1, "d")
+    t.add_family(t.root, Poly.parse("-1/10,1"), 10, "f")
+    assert analyze(t).node_class[t.root] is NodeClass.ARBITRAGE_I
+    f = PayoffSpec(
+        1,
+        {"d": Q(7)},
+        {"f": ((10, members + 9, Poly.parse("1,1")), (members + 10, None, Poly.constant(5)))},
+    )
+    want = Q(11, 10)  # 1 + 1/n at n = 10
+    s = sigma_bar(t, f)
+    assert s.value == want and s.attained
+    r = i_bar(t, f)
+    assert r.value == want and r.attained
+    assert r.hedge.initial_capital == want
+    assert not r.hedge.hedge.items()  # no move is left to hedge
+    assert i_bar_backward(t, f) == want

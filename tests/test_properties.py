@@ -178,6 +178,20 @@ def test_operators_agree_on_type_i_tree():
     assert i_bar(t, f).value == 3
 
 
+def test_sigma_bar_all_matches_sigma_bar_at_every_node():
+    # the all-nodes pass and the single-node pass share one recursion; compare
+    # them node by node, below and beyond maturity
+    rng = random.Random(61)
+    for make in (random_family_tree, random_h3_tree):
+        for _ in range(8):
+            tree = make(rng)
+            f = random_payoff(rng, tree, rng.randint(1, tree.horizon))
+            vs = sigma_bar_all(tree, f)
+            assert set(vs) == set(tree.nodes)
+            for nid in tree.nodes:
+                assert vs[nid] == sigma_bar(tree, f, nid).value, (make.__name__, nid)
+
+
 def test_lp_i_bar_matches_backward_on_generated_trees():
     # the aggregated LP and the backward recursion are independent routes to
     # the null-operator value; the LP is cubic-ish, so trees stay <= 30 nodes
