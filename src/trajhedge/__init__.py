@@ -72,6 +72,7 @@ from .oracle import (
     expectation,
     explicit_reduction,
     grid_superhedge,
+    i_bar_lp,
     martingale_measures,
 )
 from .poly import Poly, parse_rat, rat_str

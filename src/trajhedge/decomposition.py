@@ -34,6 +34,7 @@ from .model import (
     _piece_grid,
     _restrict_piece,
     _sign_segments,
+    member_cover_gap,
     wealth,
     wealth_on_member,
 )
@@ -365,6 +366,10 @@ def verify_decomposition(
         for fam in tree.families_born_by(j + 1):
             if fam.fid not in alpha.family_values:
                 return False, f"missing compensator increments on {fam.fid!r}"
+            gap = member_cover_gap(fam, alpha.family_values[fam.fid])
+            if gap:
+                why = f"missing compensator increments on {fam.fid!r}: pieces {gap}"
+                return False, why
             for lo, hi, poly in alpha.family_values[fam.fid]:
                 for w_lo, w_hi in _alive_windows(d.exception_set, covered, fam, lo, hi):
                     s = grid_summary(poly, w_lo, w_hi)

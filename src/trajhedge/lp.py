@@ -4,8 +4,8 @@ Two solvers live here:
 
 * ``minimize`` - a dense two-phase simplex over Fractions with Bland's rule
   (deterministic, exact) for programs ``min c.x  s.t.  A x >= b`` with free
-  variables.  Hedging trees produce a handful of variables and a few dozen
-  rows, so no sparsity or scaling tricks are needed.
+  variables.  It serves the test oracle ``oracle.i_bar_lp`` on trees of a
+  few dozen nodes, so no sparsity or scaling tricks are needed.
 * ``min_max_affine`` - the one-step kernel's inner problem
   ``min_h max_i (v_i - h * d_i)`` solved in closed form via crossing pairs,
   including the unbounded directions.

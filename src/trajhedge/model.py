@@ -287,6 +287,22 @@ class TrajectoryTree:
 Piece = tuple[int, Optional[int], Poly]
 
 
+def member_cover_gap(fam: Family, pieces: Sequence[Piece]) -> str:
+    """Where member pieces fail to cover n0, n0 + 1, ... in order, or ''.
+
+    The pieces must tile the members of ``fam`` gap-free from ``n0`` to an
+    unbounded last piece; the answer ends "leave a gap at n=..." or "do not
+    cover the tail"."""
+    cursor = fam.n0
+    for lo, hi, _ in sorted(pieces, key=lambda p: p[0]):
+        if lo != cursor:
+            return f"leave a gap at n={cursor}"
+        if hi is None:
+            return ""
+        cursor = hi + 1
+    return "do not cover the tail"
+
+
 @dataclass
 class PayoffSpec:
     """Finite-maturity claim: values per maturity-time node / family member."""
@@ -317,18 +333,9 @@ class PayoffSpec:
             pieces = self.family_values.get(fam.fid)
             if not pieces:
                 raise ModelError(f"payoff misses family {fam.fid!r}")
-            cursor = fam.n0
-            for lo, hi, _ in sorted(pieces):
-                if lo != cursor:
-                    raise ModelError(
-                        f"payoff pieces for family {fam.fid!r} leave a gap at n={cursor}"
-                    )
-                if hi is None:
-                    cursor = None
-                    break
-                cursor = hi + 1
-            if cursor is not None:
-                raise ModelError(f"payoff pieces for family {fam.fid!r} do not cover the tail")
+            gap = member_cover_gap(fam, pieces)
+            if gap:
+                raise ModelError(f"payoff pieces for family {fam.fid!r} {gap}")
 
     def is_finite(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.node_values.values())

@@ -1,10 +1,12 @@
-"""Independent cross-checks for the pricing engine on explicit trees.
+"""Independent cross-checks for the pricing engine.
 
-The oracles deliberately avoid the LP machinery: a gridded backward search
-bounds the superhedging price from above, and classical one-step martingale
-measures (probability weights with zero mean increment) give the dual price
-by backward maximization over local vertex measures.  Agreement with the
-pricing module on arbitrage-free trees is asserted by the test suite; any
+A gridded backward search bounds the superhedging price from above, and
+classical one-step martingale measures (probability weights with zero mean
+increment) give the dual price by backward maximization over local vertex
+measures; both avoid the LP machinery and run on explicit trees.  The null
+operator's aggregated program, solved as one exact LP over the whole tree
+(family trees included), is the reference for the backward ``i_bar``.
+Agreement with the pricing module is asserted by the test suite; any
 mismatch is an engine bug, not a modeling discrepancy.
 """
 
@@ -15,8 +17,21 @@ from fractions import Fraction
 from typing import Optional
 
 from .analysis import NodeClass, analyze
-from .model import MINUS_INF, PayoffSpec, TrajectoryTree
+from .lp import AffinePiece, minimize
+from .model import MINUS_INF, HedgeSequence, PayoffSpec, SimpleStrategy, TrajectoryTree
 from .poly import rat
+from .pricing import (
+    DEFAULT_TOLERANCE,
+    MAX_ROUNDS,
+    Interval,
+    PriceResult,
+    PricingError,
+    ScanGroup,
+    UnconvergedError,
+    _family_constraints,
+    _group_violation,
+    _harvested,
+)
 
 
 class OracleError(ValueError):
@@ -232,6 +247,132 @@ def dual_price(
         )
 
     return ev(nid)
+
+
+# ---------------------------------------------------------------------------
+# aggregated nonnegative-wealth program
+
+
+def i_bar_lp(
+    tree: TrajectoryTree,
+    f: PayoffSpec,
+    nid: Optional[str] = None,
+    tolerance: Fraction = DEFAULT_TOLERANCE,
+) -> PriceResult:
+    """Null-operator value as one aggregated nonnegative-wealth LP.
+
+    Every surviving node's wealth is the start capital plus the positions
+    times the increments on its path; the rows ask for nonnegative wealth at
+    each node and wealth above the claim at good maturity sites and members.
+    The exact simplex solves the whole tree at once, so this is the reference
+    that ``pricing.i_bar``'s backward pass is tested against on small trees.
+    """
+    nid = nid if nid is not None else tree.root
+    analysis = analyze(tree)
+    f.validate(tree)
+    if not f.is_nonnegative(tree):
+        raise PricingError("the null operator applies to nonnegative payoffs")
+    start = tree.node(nid)
+    if start.time > f.maturity:
+        # the claim is a constant here; it is harvested for free from bad nodes
+        if not analysis.good[nid]:
+            return PriceResult(Fraction(0), True, None, [], "bad node: free harvest")
+        site = tree.ancestor_at(nid, f.maturity)
+        v = f.node_values[site]
+        return PriceResult(v, True, None, [f"payoff:{site}"])
+
+    # ---- rows of every surviving node's step, on its owner's wealth ---------
+    var_of: dict[str, int] = {}
+    wealth: dict[str, dict[int, Fraction]] = {nid: {0: Fraction(1)}}
+    rows: list[tuple[dict[int, Fraction], Fraction, str]] = []
+    groups: list[tuple[str, ScanGroup]] = []  # (owner node, group)
+
+    def row(owner: str, p: AffinePiece):
+        """Wealth of the owner plus the piece's slope times the owner's position."""
+        w = dict(wealth[owner])
+        hv = var_of.get(owner)
+        if hv is not None and p.slope != 0:
+            w[hv] = w.get(hv, Fraction(0)) + p.slope
+        return (w, p.value, p.label)
+
+    stack = [nid]
+    while stack:
+        cur = stack.pop()
+        node = tree.node(cur)
+        rows.append((dict(wealth[cur]), Fraction(0), f"floor:{cur}"))
+        if node.time >= f.maturity:
+            # a bad site's whole future is harvestable: its claim is waived
+            if analysis.good[cur]:
+                rows.append((dict(wealth[cur]), f.node_values[cur], f"payoff:{cur}"))
+            continue
+        s = analysis.summaries[cur]
+        alive = [
+            (inc, child)
+            for inc, child in sorted(node.children, key=lambda c: c[1])
+            if not _harvested(s, inc)
+        ]
+        members, fam_groups = _family_constraints(tree, s, node, f.family_values)
+        if fam_groups or any(inc != 0 for inc, _ in alive):
+            var_of[cur] = len(var_of) + 1
+        for inc, child in alive:
+            wealth[child] = row(cur, AffinePiece(inc, Fraction(0), f"node:{child}"))[0]
+        rows.extend(row(cur, p) for p in members)
+        groups.extend((cur, g) for g in fam_groups)
+        stack.extend(child for _, child in reversed(alive))
+
+    # seed rows for scan groups: limit + first members
+    work_rows = list(rows)
+    for owner, g in groups:
+        work_rows.extend(row(owner, p) for p in g.seed_pieces())
+    seen = {label for _, _, label in work_rows}
+
+    nvars = len(var_of) + 1
+    cost = [Fraction(0)] * nvars
+    cost[0] = Fraction(1)
+
+    def densify(w: dict[int, Fraction]) -> list[Fraction]:
+        return [w.get(i, Fraction(0)) for i in range(nvars)]
+
+    result = None
+    for _ in range(MAX_ROUNDS):
+        mat = [densify(w) for w, _, _ in work_rows]
+        rhs = [v for _, v, _ in work_rows]
+        sol = minimize(cost, mat, rhs)
+        if sol.status != "optimal":  # pragma: no cover - program is feasible
+            raise PricingError(f"nonnegative-wealth program {sol.status}")
+        violations = []
+        for owner, g in groups:
+            w_here = sum(coef * sol.x[i] for i, coef in wealth[owner].items())
+            hv = var_of.get(owner)
+            h_here = sol.x[hv] if hv is not None else Fraction(0)
+            n, viol = _group_violation(g, w_here, h_here)
+            if n is not None:
+                violations.append((viol, owner, g, n))
+        if not violations:
+            result = (sol, work_rows)
+            break
+        for viol, owner, g, n in sorted(violations, key=lambda t: -t[0]):
+            p = g.piece_at(n)
+            if p.label not in seen:
+                seen.add(p.label)
+                work_rows.append(row(owner, p))
+    if result is None:
+        worst = max(v for v, *_ in violations)
+        interval = Interval(sol.value, sol.value + worst)
+        if interval.width <= tolerance:
+            return PriceResult(interval, False, None, [], "interval (round cap)")
+        raise UnconvergedError(interval)
+
+    sol, final_rows = result
+    hedge = HedgeSequence()
+    for owner, idx in var_of.items():
+        hedge.set(tree.node(owner).time, owner, sol.x[idx])
+    strategy = SimpleStrategy(
+        sol.value, hedge, start_time=start.time, start_node=nid
+    )
+    active = sorted(final_rows[i][2] for i in sol.tight)
+    note = "model value (aggregated nonnegative-strategy program)"
+    return PriceResult(sol.value, True, strategy, active, note)
 
 
 def expectation(

@@ -18,9 +18,11 @@ exact violation oracle.  An optimum that runs off to |h| = infinity is the
 unattained-infimum case; its value is the exact asymptotic envelope.
 
 ``i_bar`` is the null operator: one aggregated strategy whose wealth stays
-nonnegative at every surviving node and dominates the claim at maturity,
-solved as a single exact LP with the same harvest waivers.   Its value on
-payoffs beyond the proven cases is reported as the model value.
+nonnegative at every surviving node and dominates the claim at maturity.
+Wealth links each node only to its parent, so this is the same backward
+induction floored at zero, with a position per node as its certificate (the
+aggregated program, as one exact LP, is the test oracle ``oracle.i_bar_lp``).
+Its value on payoffs beyond the proven cases is reported as the model value.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .analysis import Analysis, EventSet, IncrementSummary, analyze
-from .lp import AffinePiece, MinMaxResult, min_max_affine, minimize
+from .lp import AffinePiece, MinMaxResult, min_max_affine
 from .model import (
     MINUS_INF,
     HedgeSequence,
@@ -555,15 +557,6 @@ def _sigma_pass(
     return memo, *last
 
 
-def i_bar_backward_all(
-    tree: TrajectoryTree,
-    f: PayoffSpec,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
-) -> dict[str, PriceValue]:
-    """Null-operator value at every node via the backward route."""
-    return dict(_i_bar_backward_memo(tree, f, tolerance))
-
-
 def sigma_bar_payoff(
     tree: TrajectoryTree, f: PayoffSpec, at_time: int,
     tolerance: Fraction = DEFAULT_TOLERANCE,
@@ -733,7 +726,7 @@ def _member_diff(f: ProcessSequence, fid: str, j: int, lo: int, hi: Optional[int
 
 
 # ---------------------------------------------------------------------------
-# i_bar: aggregated nonnegative-wealth program
+# i_bar: backward induction of the floored kernel
 
 
 def i_bar(
@@ -742,113 +735,37 @@ def i_bar(
     nid: Optional[str] = None,
     tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> PriceResult:
-    """Null-operator value: cheapest nonnegative aggregate dominating f."""
+    """Null-operator value: cheapest nonnegative aggregate dominating f.
+
+    The certificate takes each position from the backward pass along the
+    non-harvested children, and exists when every position it needs does."""
     nid = nid if nid is not None else tree.root
     analysis = analyze(tree)
-    f.validate(tree)
-    if not f.is_nonnegative(tree):
-        raise PricingError("the null operator applies to nonnegative payoffs")
+    memo, active = _i_bar_pass(tree, f, analysis, [nid], tolerance)
     start = tree.node(nid)
+    value = memo[nid].value
     if start.time > f.maturity:
         # the claim is a constant here; it is harvested for free from bad nodes
-        if not analysis.good[nid]:
-            return PriceResult(Fraction(0), True, None, [], "bad node: free harvest")
-        site = tree.ancestor_at(nid, f.maturity)
-        v = f.node_values[site]
-        return PriceResult(v, True, None, [f"payoff:{site}"])
-
-    # ---- rows of every surviving node's step, on its owner's wealth ---------
-    var_of: dict[str, int] = {}
-    wealth: dict[str, dict[int, Fraction]] = {nid: {0: Fraction(1)}}
-    rows: list[tuple[dict[int, Fraction], Fraction, str]] = []
-    groups: list[tuple[str, ScanGroup]] = []  # (owner node, group)
-
-    def row(owner: str, p: AffinePiece):
-        """Wealth of the owner plus the piece's slope times the owner's position."""
-        w = dict(wealth[owner])
-        hv = var_of.get(owner)
-        if hv is not None and p.slope != 0:
-            w[hv] = w.get(hv, Fraction(0)) + p.slope
-        return (w, p.value, p.label)
-
-    stack = [nid]
+        note = "" if analysis.good[nid] else "bad node: free harvest"
+        return PriceResult(value, True, None, active, note)
+    if isinstance(value, Interval):
+        return PriceResult(value, False, None, [], "interval (round cap)")
+    hedge, attained, stack = HedgeSequence(), True, [nid]
     while stack:
-        cur = stack.pop()
-        node = tree.node(cur)
-        rows.append((dict(wealth[cur]), Fraction(0), f"floor:{cur}"))
+        node = tree.node(stack.pop())
         if node.time >= f.maturity:
-            # a bad site's whole future is harvestable: its claim is waived
-            if analysis.good[cur]:
-                rows.append((dict(wealth[cur]), f.node_values[cur], f"payoff:{cur}"))
             continue
-        s = analysis.summaries[cur]
-        alive = [
-            (inc, child)
-            for inc, child in sorted(node.children, key=lambda c: c[1])
-            if not _harvested(s, inc)
-        ]
-        members, fam_groups = _family_constraints(tree, s, node, f.family_values)
-        if fam_groups or any(inc != 0 for inc, _ in alive):
-            var_of[cur] = len(var_of) + 1
-        for inc, child in alive:
-            wealth[child] = row(cur, AffinePiece(inc, Fraction(0), f"node:{child}"))[0]
-        rows.extend(row(cur, p) for p in members)
-        groups.extend((cur, g) for g in fam_groups)
-        stack.extend(child for _, child in reversed(alive))
-
-    # seed rows for scan groups: limit + first members
-    work_rows = list(rows)
-    for owner, g in groups:
-        work_rows.extend(row(owner, p) for p in g.seed_pieces())
-    seen = {label for _, _, label in work_rows}
-
-    nvars = len(var_of) + 1
-    cost = [Fraction(0)] * nvars
-    cost[0] = Fraction(1)
-
-    def densify(w: dict[int, Fraction]) -> list[Fraction]:
-        return [w.get(i, Fraction(0)) for i in range(nvars)]
-
-    result = None
-    for _ in range(MAX_ROUNDS):
-        mat = [densify(w) for w, _, _ in work_rows]
-        rhs = [v for _, v, _ in work_rows]
-        sol = minimize(cost, mat, rhs)
-        if sol.status != "optimal":  # pragma: no cover - program is feasible
-            raise PricingError(f"nonnegative-wealth program {sol.status}")
-        violations = []
-        for owner, g in groups:
-            w_here = sum(coef * sol.x[i] for i, coef in wealth[owner].items())
-            hv = var_of.get(owner)
-            h_here = sol.x[hv] if hv is not None else Fraction(0)
-            n, viol = _group_violation(g, w_here, h_here)
-            if n is not None:
-                violations.append((viol, owner, g, n))
-        if not violations:
-            result = (sol, work_rows)
-            break
-        for viol, owner, g, n in sorted(violations, key=lambda t: -t[0]):
-            p = g.piece_at(n)
-            if p.label not in seen:
-                seen.add(p.label)
-                work_rows.append(row(owner, p))
-    if result is None:
-        worst = max(v for v, *_ in violations)
-        interval = Interval(sol.value, sol.value + worst)
-        if interval.width <= tolerance:
-            return PriceResult(interval, False, None, [], "interval (round cap)")
-        raise UnconvergedError(interval)
-
-    sol, final_rows = result
-    hedge = HedgeSequence()
-    for owner, idx in var_of.items():
-        hedge.set(tree.node(owner).time, owner, sol.x[idx])
-    strategy = SimpleStrategy(
-        sol.value, hedge, start_time=start.time, start_node=nid
-    )
-    active = sorted(final_rows[i][2] for i in sol.tight)
+        e = memo[node.nid]
+        attained = attained and e.attained
+        if e.h is not None:
+            hedge.set(node.time, node.nid, e.h)
+        s = analysis.summaries[node.nid]
+        stack.extend(child for inc, child in node.children if not _harvested(s, inc))
+    strategy = None
+    if attained:
+        strategy = SimpleStrategy(value, hedge, start_time=start.time, start_node=nid)
     note = "model value (aggregated nonnegative-strategy program)"
-    return PriceResult(sol.value, True, strategy, active, note)
+    return PriceResult(value, attained, strategy, active, note)
 
 
 def i_bar_backward(
@@ -857,56 +774,79 @@ def i_bar_backward(
     nid: Optional[str] = None,
     tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> PriceValue:
-    """Null-operator value by backward induction (independent of the LP).
-
-    The minimal entering wealth from which a nonnegative aggregate can cover
-    the claim propagates node-wise: at each surviving node it is the one-step
-    kernel value over the children's requirements, floored at zero.
-    """
+    """Null-operator value alone, from the same backward pass as ``i_bar``."""
     nid = nid if nid is not None else tree.root
-    return _i_bar_backward_memo(tree, f, tolerance)[nid]
+    return _i_bar_pass(tree, f, analyze(tree), [nid], tolerance)[0][nid].value
 
 
-def _i_bar_backward_memo(
-    tree: TrajectoryTree, f: PayoffSpec, tolerance: Fraction
+def i_bar_backward_all(
+    tree: TrajectoryTree,
+    f: PayoffSpec,
+    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> dict[str, PriceValue]:
-    analysis = analyze(tree)
+    """Null-operator value at every node, in one shared recursion."""
+    order = [nd.nid for nd in sorted(tree.nodes.values(), key=lambda n: -n.time)]
+    memo = _i_bar_pass(tree, f, analyze(tree), order, tolerance)[0]
+    return {nid: e.value for nid, e in memo.items()}
+
+
+def _i_bar_pass(
+    tree: TrajectoryTree,
+    f: PayoffSpec,
+    analysis: Analysis,
+    starts: Sequence[str],
+    tolerance: Fraction,
+) -> tuple[dict[str, _NodeEval], list[str]]:
+    """Backward induction of the one-step kernel, floored at zero.
+
+    A node's value is the least entering wealth from which a nonnegative
+    aggregate covers the claim.  Where the step can move wealth (a nonzero
+    slope or a scan group) the node keeps a position covering its children
+    and members from that value; attained says one was found.  Also returns
+    the active labels of the node evaluated last."""
     f.validate(tree)
     if not f.is_nonnegative(tree):
         raise PricingError("the null operator applies to nonnegative payoffs")
+    memo: dict[str, _NodeEval] = {}
+    active: list[str] = []
 
-    memo: dict[str, PriceValue] = {}
-
-    def ev(cur: str) -> PriceValue:
+    def ev(cur: str) -> _NodeEval:
+        nonlocal active
         if cur in memo:
             return memo[cur]
         node = tree.node(cur)
         if node.time >= f.maturity:
-            if not analysis.good[cur]:
-                out: PriceValue = Fraction(0)
-            else:
-                out = f.node_values[tree.ancestor_at(cur, f.maturity)]
+            # a bad site's whole future is harvestable: its claim is waived
+            site = tree.ancestor_at(cur, f.maturity)
+            good = analysis.good[cur]
+            out = _NodeEval(f.node_values[site] if good else Fraction(0), True, None)
+            active = [f"payoff:{site}"] if good else []
         else:
-            child_values = {child: ev(child) for _, child in node.children}
+            child_values = {child: ev(child).value for _, child in node.children}
             pieces = {fid: f.family_values[fid] for fid in node.families}
             problem = _build_step_problem(tree, analysis, cur, child_values, pieces)
             if not problem.fixed and not problem.groups:
-                out = Fraction(0)
+                out, active = _NodeEval(Fraction(0), True, None), []
             else:
                 step = solve_step(problem, tolerance)
                 lo, hi = value_bounds(step.value)
                 if hi == MINUS_INF or hi <= 0:
-                    out = Fraction(0)
+                    value: PriceValue = Fraction(0)
                 elif lo != hi and lo < 0:
-                    out = Interval(Fraction(0), hi)
+                    value = Interval(Fraction(0), hi)
                 else:
-                    out = step.value
+                    value = step.value
+                out, active = _NodeEval(value, True, None), step.active
+                if problem.groups or any(p.slope != 0 for p in problem.fixed):
+                    # aim at the floored value, never below the step value
+                    h = _feasible_position(problem, step, value_bounds(value)[1])
+                    out = _NodeEval(value, h is not None, h)
         memo[cur] = out
         return out
 
-    for nd in sorted(tree.nodes.values(), key=lambda n: -n.time):
-        ev(nd.nid)
-    return memo
+    for start in starts:
+        ev(start)
+    return memo, active
 
 
 def norm_j(

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -66,7 +67,26 @@ def test_price_ibar_json(capsys, tree_file, payoff_file):
     data = json.loads(out)
     assert data["value"] == "1/2"
     assert data["attained"] is True
-    assert data["certificate"]["positions"][0]["h"] == "-1/2"
+    assert data["certificate"] == {
+        "initial_capital": "1/2",
+        "positions": [{"h": "-1/2", "node": "r", "t": 0}],
+    }
+    assert data["note"] == "model value (aggregated nonnegative-strategy program)"
+    assert data["active"] == ["family:down:n=1", "node:u"]
+
+
+def test_price_ibar_text(capsys, tree_file, payoff_file):
+    rc, out, _ = run(capsys, "price", tree_file, payoff_file, "--op", "ibar")
+    assert rc == 0
+    assert out == (
+        "1/2 (attained)\n"
+        "note: model value (aggregated nonnegative-strategy program)\n"
+        "certificate: V=1/2\n"
+        "  hedge t=0 at r = -1/2\n"
+        "active constraints:\n"
+        "  family:down:n=1\n"
+        "  node:u\n"
+    )
 
 
 def test_price_at_node(capsys, tree_file, payoff_file):
@@ -100,6 +120,30 @@ def test_verify_decomp_fail_exit_code(capsys, tmp_path, tree_file, process_file)
     )
     rc, out, _ = run(capsys, "verify-decomp", tree_file, process_file, str(bad))
     assert rc == 1 and out.startswith("FAIL")
+
+
+def test_verify_decomp_fails_on_uncovered_members(
+    capsys, tmp_path, tree_file, process_file
+):
+    # alpha pieces of a family must cover every member from n0 to the tail
+    good = tmp_path / "good.txt"
+    rc, _, _ = run(
+        capsys, "decompose", tree_file, process_file, "--delta", "1/10,1/10",
+        "-o", str(good),
+    )
+    assert rc == 0
+    text = good.read_text()
+    edits = [
+        ("alpha t=1 at-family down poly=1/10 from=1", "from=1 to=3"),
+        ("alpha t=0 at-family down poly=1/10,-1,4 from=1", "from=2"),
+    ]
+    for line, window in edits:
+        assert line in text.splitlines()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(line, line.replace("from=1", window)))
+        rc, out, _ = run(capsys, "verify-decomp", tree_file, process_file, str(bad))
+        assert rc == 1, out
+        assert out.startswith("FAIL: missing compensator increments on 'down'"), out
 
 
 def test_oracle_dual(capsys, tmp_path):
@@ -248,3 +292,71 @@ def test_determinism(capsys, tree_file, payoff_file):
     rc1, p1, _ = run(capsys, "price", tree_file, payoff_file, "--op", "ibar", "--json")
     rc2, p2, _ = run(capsys, "price", tree_file, payoff_file, "--op", "ibar", "--json")
     assert p1 == p2
+
+
+# odd tokens beside the documents' own: bad numbers, ranges and keywords
+FUZZ_EXTRA_TOKENS = ["=", "->", "x", "-", "1/0", "0/0", "inf", "-inf", "1-", "2-1",
+                     "from=", "to=", "t=", "n0=0", "poly=", "poly=,", "id=", "at", "#"]
+
+
+def _mutate(rng, text, pool):
+    """One edit: delete, insert or replace a token, truncate or duplicate a line."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    toks = lines[i].split()
+    kind = rng.randrange(5)
+    if kind == 3:
+        lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+    elif kind == 4:
+        lines.insert(i, lines[i])
+    elif kind == 0 and toks:
+        del toks[rng.randrange(len(toks))]
+        lines[i] = " ".join(toks)
+    elif kind == 2 and toks:
+        toks[rng.randrange(len(toks))] = rng.choice(pool)
+        lines[i] = " ".join(toks)
+    else:
+        toks.insert(rng.randrange(len(toks) + 1), rng.choice(pool))
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_documents_never_escape(capsys, tmp_path, tree_file, payoff_file,
+                                        process_file):
+    # every edit of a corpus document ends in a verdict (0 or 1) or an input
+    # error (2), never in an uncaught exception
+    decomp_file = str(tmp_path / "decomp.txt")
+    rc, _, _ = run(capsys, "decompose", tree_file, process_file, "--delta", "1/10,1/10",
+                   "-o", decomp_file)
+    assert rc == 0
+    files = {"decomposition": decomp_file, "payoff": payoff_file, "process": process_file,
+             "tree": tree_file}
+    texts = {name: Path(path).read_text() for name, path in files.items()}
+    pool = sorted({tok for text in texts.values() for tok in text.split()}) + FUZZ_EXTRA_TOKENS
+    rng = random.Random(20)
+    codes = []
+    for k in range(400):
+        name = sorted(files)[k % 4]
+        paths = dict(files)
+        paths[name] = str(tmp_path / f"mutated-{name}.txt")
+        mutated = _mutate(rng, texts[name], pool)
+        Path(paths[name]).write_text(mutated)
+        tree, payoff, process = paths["tree"], paths["payoff"], paths["process"]
+        verify = ["verify-decomp", tree, process, paths["decomposition"]]
+        commands = {
+            "tree": [["analyze", tree], ["price", tree, payoff, "--op", "ibar"],
+                     ["decompose", tree, process, "--delta", "1/10,1/10"], verify],
+            "payoff": [["price", tree, payoff, "--op", "sigma"],
+                       ["price", tree, payoff, "--op", "ibar"]],
+            "process": [["decompose", tree, process, "--delta", "1/10,1/10"], verify],
+            "decomposition": [verify],
+        }[name]
+        for argv in commands:
+            try:
+                rc, _, _ = run(capsys, *argv)
+            except Exception as exc:  # an escape: show the edit that caused it
+                pytest.fail(f"{argv[0]} raised {exc!r} on edit {k} of {name}:\n{mutated}")
+            assert rc in (0, 1, 2), (k, name, argv, mutated)
+            codes.append(rc)
+    # the edits reach past the parsers: some still run to a verdict
+    assert {0, 1, 2} <= set(codes)

@@ -70,11 +70,21 @@ def test_papers_own_hedge_choice_verifies(tree_6_2, process_6_2_b):
 
 
 def test_tampered_compensator_detected(tree_6_2, process_6_2_b):
-    d = doob_decompose(tree_6_2, process_6_2_b, [Q(1, 10), Q(1, 10)])
-    lo, hi, poly = d.alphas[0].family_values["down"][0]
-    d.alphas[0].family_values["down"] = ((lo, hi, poly.shift(Q(-10))),)
-    ok, why = verify_decomposition(tree_6_2, process_6_2_b, d)
-    assert not ok and "down" in why
+    # a negative increment, then pieces that leave members of the family
+    # without any increment: a gap at n0, a gap in the middle, no tail
+    tampers = [
+        (0, lambda poly: ((1, None, poly.shift(Q(-10))),), "negative"),
+        (0, lambda poly: ((2, None, poly),), "gap at n=1"),
+        (1, lambda poly: ((1, 2, poly), (4, None, poly)), "gap at n=3"),
+        (1, lambda poly: ((1, 3, poly),), "do not cover the tail"),
+    ]
+    for j, tamper, want in tampers:
+        d = doob_decompose(tree_6_2, process_6_2_b, [Q(1, 10), Q(1, 10)])
+        ((lo, hi, poly),) = d.alphas[j].family_values["down"]
+        assert (lo, hi) == (1, None)
+        d.alphas[j].family_values["down"] = tamper(poly)
+        ok, why = verify_decomposition(tree_6_2, process_6_2_b, d)
+        assert not ok and "'down'" in why and want in why, (j, want, why)
 
 
 def test_tampered_exception_set_detected(tree_6_2, process_6_2_b):

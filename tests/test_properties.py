@@ -16,7 +16,7 @@ from trajhedge.model import (
     wealth_on_member,
 )
 from trajhedge.pricing import check_integrable, sigma_bar, sigma_bar_all
-from trajhedge.poly import Poly
+from trajhedge.poly import Poly, grid_summary, intersect_ranges
 
 from gen import (
     random_arbitrage_free_tree,
@@ -192,10 +192,50 @@ def test_sigma_bar_all_matches_sigma_bar_at_every_node():
                 assert vs[nid] == sigma_bar(tree, f, nid).value, (make.__name__, nid)
 
 
+def _certificate_shortfalls(tree, f, nid, res):
+    """Where the i_bar certificate from nid fails the nonnegative-wealth rows.
+
+    Wealth must stay >= 0 at every pre-maturity node reached through
+    non-harvested children and dominate f at good maturity sites and on the
+    members the null cover leaves uncovered."""
+    a = analyze(tree)
+    out = []
+    stack = [nid]
+    while stack:
+        cur = stack.pop()
+        node = tree.node(cur)
+        w = wealth(tree, res.hedge, cur)
+        if node.time >= f.maturity:
+            if a.good[cur] and w < f.node_values[cur]:
+                out.append(f"wealth below payoff at {cur}")
+            continue
+        if w < 0:
+            out.append(f"negative wealth at {cur}")
+        s = a.summaries[cur]
+        stack.extend(
+            child for inc, child in node.children
+            if not ((s.plus_ray and inc > 0) or (s.minus_ray and inc < 0))
+        )
+        for fid in node.families:
+            gap = wealth_on_member(tree, res.hedge, fid)
+            for lo, hi in a.null_cover.uncovered_member_ranges(tree, fid):
+                for p_lo, p_hi, poly in f.family_values[fid]:
+                    meet = intersect_ranges((lo, hi), (p_lo, p_hi))
+                    diff = gap - poly
+                    if meet is not None and not diff.is_zero() and (
+                        grid_summary(diff, *meet).has_neg
+                    ):
+                        out.append(f"wealth below payoff on {fid} {meet}")
+    return out
+
+
 def test_lp_i_bar_matches_backward_on_generated_trees():
-    # the aggregated LP and the backward recursion are independent routes to
-    # the null-operator value; the LP is cubic-ish, so trees stay <= 30 nodes
-    from trajhedge.pricing import i_bar, i_bar_backward
+    # the aggregated LP oracle and the backward pass are independent routes
+    # to the null-operator value; the LP is cubic-ish, so trees stay <= 30
+    # nodes.  The two may pick different optimal positions, so the backward
+    # certificate is checked on its own.
+    from trajhedge.oracle import i_bar_lp
+    from trajhedge.pricing import i_bar
 
     rng = random.Random(58)
     makers = [
@@ -212,7 +252,14 @@ def test_lp_i_bar_matches_backward_on_generated_trees():
                 continue
             done += 1
             f = random_payoff(rng, tree, rng.randint(1, tree.horizon), nonneg=True)
-            assert i_bar(tree, f).value == i_bar_backward(tree, f), (make.__name__, done)
+            inner = sorted(nd.nid for nd in tree.internal_nodes() if nd.nid != tree.root)
+            for nid in [tree.root, *rng.sample(inner, min(1, len(inner)))]:
+                want, got = i_bar_lp(tree, f, nid), i_bar(tree, f, nid)
+                where = (make.__name__, done, nid)
+                assert (got.value, got.attained) == (want.value, want.attained), where
+                if tree.node(nid).time <= f.maturity:
+                    assert got.hedge is not None, where
+                    assert _certificate_shortfalls(tree, f, nid, got) == [], where
 
 
 def test_stopped_process_with_member_windows():
