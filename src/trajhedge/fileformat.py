@@ -74,6 +74,22 @@ def _family(tree: TrajectoryTree, fid: str, line_no: int):
         raise ParseError(str(exc), line_no) from exc
 
 
+def _member_window(toks, fam, windows: list, line_no: int, what: str) -> None:
+    """Append the ``(lo, hi, poly)`` piece of an at-family line to the pieces
+    already read for its family.  A window that is empty, starts below
+    ``n0`` or overlaps an earlier one is a ParseError at this line."""
+    poly = _parse_poly(_kv(toks, "poly", line_no), line_no)
+    frm = _kv(toks, "from", line_no, required=False)
+    to = _kv(toks, "to", line_no, required=False)
+    lo = _parse_int(frm, line_no) if frm else fam.n0
+    hi = _parse_int(to, line_no) if to else None
+    if lo < fam.n0 or (hi is not None and hi < lo):
+        raise ParseError(f"empty {what} window or one below n0={fam.n0}", line_no)
+    if any(intersect_ranges((lo, hi), w[:2]) for w in windows):
+        raise ParseError(f"{what} windows of {fam.fid!r} overlap", line_no)
+    windows.append((lo, hi, poly))
+
+
 # ---------------------------------------------------------------------------
 # trees
 
@@ -213,14 +229,9 @@ def _parse_payoff_block(lines, tree: TrajectoryTree) -> PayoffSpec:
         elif kind == "at-family":
             if len(toks) < 2:
                 raise ParseError("at-family line needs a family id", line_no)
-            fid = toks[1]
-            poly = _parse_poly(_kv(toks[2:], "poly", line_no), line_no)
-            frm = _kv(toks[2:], "from", line_no, required=False)
-            to = _kv(toks[2:], "to", line_no, required=False)
-            fam = _family(tree, fid, line_no)
-            lo = _parse_int(frm, line_no) if frm else fam.n0
-            hi = _parse_int(to, line_no) if to else None
-            fam_pieces.setdefault(fid, []).append((lo, hi, poly))
+            fam = _family(tree, toks[1], line_no)
+            windows = fam_pieces.setdefault(fam.fid, [])
+            _member_window(toks[2:], fam, windows, line_no, "payoff")
         else:
             raise ParseError(f"unknown payoff directive {kind!r}", line_no)
     if maturity is None:
@@ -327,17 +338,8 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
             if "at-family" in toks:
                 fid = _after(toks, "at-family", line_no, "at-family needs a family id")
                 fam = _family(tree, fid, line_no)
-                poly = _parse_poly(_kv(toks, "poly", line_no), line_no)
-                frm = _kv(toks, "from", line_no, required=False)
-                to = _kv(toks, "to", line_no, required=False)
-                lo = _parse_int(frm, line_no) if frm else fam.n0
-                hi = _parse_int(to, line_no) if to else None
                 windows = slot["fams"].setdefault(fid, [])
-                if lo < fam.n0 or (hi is not None and hi < lo):
-                    raise ParseError(f"empty alpha window or one below n0={fam.n0}", line_no)
-                if any(intersect_ranges((lo, hi), w[:2]) for w in windows):
-                    raise ParseError(f"alpha windows of {fid!r} overlap at t={t}", line_no)
-                windows.append((lo, hi, poly))
+                _member_window(toks, fam, windows, line_no, "alpha")
             else:
                 nid = _after(
                     toks, "at", line_no, "expected: alpha t=<int> at <node-id> = <rational>"

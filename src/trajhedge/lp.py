@@ -8,7 +8,12 @@ Two solvers live here:
   few dozen nodes, so no sparsity or scaling tricks are needed.
 * ``min_max_affine`` - the one-step kernel's inner problem
   ``min_h max_i (v_i - h * d_i)`` solved in closed form via crossing pairs,
-  including the unbounded directions.
+  including the unbounded directions.  It works on integers: each piece
+  ``d = a/b``, ``v = c/e`` becomes ``(a*e, c*b, b*e)``, its slope and value
+  over one positive denominator.  The crossing of a positive and a negative
+  slope is then an integer pair ``N/D`` with ``D > 0``, crossings are
+  compared by cross-multiplying, tightness is an integer identity, and only
+  the answer's value and position are built as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -186,54 +191,92 @@ def min_max_affine(pieces: Sequence[AffinePiece]) -> MinMaxResult:
     """Solve min over h of max_i (value_i - h * slope_i) exactly.
 
     Empty input is vacuous (-inf).  With constraints only on one slope sign
-    and no zero-slope floor the optimum runs off to h = +-inf.
+    and no zero-slope floor the optimum runs off to h = +-inf.  Two-sided
+    inputs are optimal at the highest crossing of a positive and a negative
+    slope, or on the floor when a zero slope is at least that high; the
+    first pair with a strictly higher crossing wins.
     """
     if not pieces:
         return MinMaxResult(MINUS_INF, None, 0)
-    zeros = [p for p in pieces if p.slope == 0]
-    pos = [p for p in pieces if p.slope > 0]
-    neg = [p for p in pieces if p.slope < 0]
-    z_best = max((p.value for p in zeros), default=None)
+    # each piece as integers (s, v, w): slope s/w, value v/w, w > 0
+    rows: list[tuple] = []
+    pos: list[tuple] = []
+    neg: list[tuple] = []
+    zeros: list[tuple] = []
+    floor: Optional[tuple] = None  # first zero-slope row of greatest value
+    for p in pieces:
+        a, b = p.slope.numerator, p.slope.denominator
+        c, d = p.value.numerator, p.value.denominator
+        row = (a * d, c * b, b * d, p)
+        rows.append(row)
+        if a > 0:
+            pos.append(row)
+        elif a < 0:
+            neg.append(row)
+        else:
+            zeros.append(row)
+            if floor is None or row[1] * floor[2] > floor[1] * row[2]:
+                floor = row
 
     if not pos and not neg:
-        val = z_best
-        tight = [p.label for p in zeros if p.value == val]
-        return MinMaxResult(val, Fraction(0), 0, tight)
+        return MinMaxResult(
+            floor[3].value, Fraction(0), 0, _tight(zeros, 0, 1, floor[1], floor[2])
+        )
 
-    if not neg:
-        # pushing h upward silences every positive-slope constraint
-        if z_best is None:
-            return MinMaxResult(MINUS_INF, None, +1)
-        h = max((p.value - z_best) / p.slope for p in pos)
-        tight = [p.label for p in zeros if p.value == z_best]
-        tight += [p.label for p in pos if p.value - h * p.slope == z_best]
-        return MinMaxResult(z_best, h, 0, tight)
+    if not neg or not pos:
+        # pushing h toward the empty side silences every sloped constraint
+        if floor is None:
+            return MinMaxResult(MINUS_INF, None, +1 if pos else -1)
+        hn, hd = _band_edge(pos or neg, floor, lower=bool(pos))
+        tight = _tight(zeros + (pos or neg), hn, hd, floor[1], floor[2])
+        return MinMaxResult(floor[3].value, Fraction(hn, hd), 0, tight)
 
-    if not pos:
-        if z_best is None:
-            return MinMaxResult(MINUS_INF, None, -1)
-        h = min((p.value - z_best) / p.slope for p in neg)
-        tight = [p.label for p in zeros if p.value == z_best]
-        tight += [p.label for p in neg if p.value - h * p.slope == z_best]
-        return MinMaxResult(z_best, h, 0, tight)
-
-    # two-sided: optimum at a crossing of a positive and a negative slope
-    best = z_best
-    best_h: Optional[Fraction] = None
-    for p in pos:
-        for q in neg:
-            val = (p.slope * q.value - q.slope * p.value) / (p.slope - q.slope)
-            if best is None or val > best:
-                best = val
-                best_h = (p.value - q.value) / (p.slope - q.slope)
-    if best is None:
+    # two-sided: a crossing N/D of a positive and a negative slope, D > 0,
+    # compared with the best so far by cross-multiplying
+    bn, bd = (floor[1], floor[2]) if floor is not None else (None, 1)
+    pair = None
+    for sp, vp, wp, _ in pos:
+        for sq, vq, wq, _ in neg:
+            n = sp * vq - sq * vp
+            d = sp * wq - sq * wp
+            if bn is None or n * bd > bn * d:
+                bn, bd, pair = n, d, (vp, wp, vq, wq)
+    if bn is None:
         raise LPError("two-sided min-max found no crossing and no floor")
-    if best_h is None:
+    if pair is None:
         # the floor dominates every crossing; any h in the feasible band works
-        lo = max((p.value - best) / p.slope for p in pos)
-        hi = min((q.value - best) / q.slope for q in neg)
-        if lo > hi:
+        hn, hd = _band_edge(pos, floor, lower=True)
+        un, ud = _band_edge(neg, floor, lower=False)
+        if hn * ud > un * hd:
             raise LPError("empty feasible band for the slope under the floor")
-        best_h = lo
-    tight = [p.label for p in pieces if p.value - best_h * p.slope == best]
-    return MinMaxResult(best, best_h, 0, tight)
+        tight = _tight(rows, hn, hd, bn, bd)
+        return MinMaxResult(floor[3].value, Fraction(hn, hd), 0, tight)
+    vp, wp, vq, wq = pair
+    hn = vp * wq - vq * wp  # the crossing's h, over the same D
+    tight = _tight(rows, hn, bd, bn, bd)
+    return MinMaxResult(Fraction(bn, bd), Fraction(hn, bd), 0, tight)
+
+
+def _band_edge(rows: list, floor: tuple, lower: bool) -> tuple[int, int]:
+    """The binding edge of {h : value - h * slope <= floor} over rows of one
+    slope sign, as integers (n, d) with d > 0: the largest lower bound for
+    positive slopes, the smallest upper bound for negative ones."""
+    zv, zw = floor[1], floor[2]
+    best_n, best_d = None, 1
+    for s, v, w, _ in rows:
+        n, d = v * zw - zv * w, s * zw
+        if d < 0:
+            n, d = -n, -d
+        if best_n is None or (
+            n * best_d > best_n * d if lower else n * best_d < best_n * d
+        ):
+            best_n, best_d = n, d
+    return best_n, best_d
+
+
+def _tight(rows: list, hn: int, hd: int, bn: int, bd: int) -> list[str]:
+    """Labels of the rows with value - h * slope == V, for h = hn/hd and
+    V = bn/bd (hd, bd > 0), in row order."""
+    return [
+        row[3].label for row in rows if (row[1] * hd - hn * row[0]) * bd == bn * hd * row[2]
+    ]

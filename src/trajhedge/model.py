@@ -79,6 +79,7 @@ class TrajectoryTree:
         }
         self.families: dict[str, Family] = {}
         self._analysis_cache = None
+        self._levels: Optional[dict[int, list[Node]]] = None
 
     # -- construction -------------------------------------------------------
     def add_child(self, parent: str, inc, child_id: str) -> str:
@@ -118,6 +119,7 @@ class TrajectoryTree:
 
     def _touch(self):
         self._analysis_cache = None
+        self._levels = None
 
     # -- lookups -------------------------------------------------------------
     def _node(self, nid: str) -> Node:
@@ -143,9 +145,12 @@ class TrajectoryTree:
         return self._node(fam.parent).value + fam.increment(n)
 
     def nodes_at_time(self, t: int) -> list[Node]:
-        return sorted(
-            (nd for nd in self.nodes.values() if nd.time == t), key=lambda nd: nd.nid
-        )
+        if self._levels is None:
+            # one index per tree shape, dropped by _touch like the analysis
+            self._levels = {}
+            for nd in sorted(self.nodes.values(), key=lambda nd: nd.nid):
+                self._levels.setdefault(nd.time, []).append(nd)
+        return list(self._levels.get(t, ()))
 
     def internal_nodes(self) -> list[Node]:
         return sorted(
@@ -249,22 +254,25 @@ class TrajectoryTree:
                 )
 
     def _check_family_pair(self, nd: Node, fa: Family, fb: Family) -> None:
-        # bounded collision probe; exotic overlapping families are rejected lazily
-        for n in range(fa.n0, fa.n0 + 24):
-            v = fa.increment(n)
-            diff = fb.poly.shift(-v)
-            if diff.is_zero():
-                raise ModelError(f"families {fa.fid!r} and {fb.fid!r} overlap")
-            hits = [
-                m
-                for m in root_integer_neighbors(diff.reversed_in_n(), fb.n0, None)
-                if fb.increment(m) == v
-            ]
-            if hits:
-                raise ModelError(
-                    f"duplicate increment at node {nd.nid!r}: families {fa.fid!r} "
-                    f"(n={n}) and {fb.fid!r} (n={hits[0]}) share {rat_str(v)}"
-                )
+        # bounded collision probe of each family's first members against the
+        # other; exotic overlapping families are rejected lazily
+        for probe, other in ((fa, fb), (fb, fa)):
+            for n in range(probe.n0, probe.n0 + 24):
+                v = probe.increment(n)
+                diff = other.poly.shift(-v)
+                if diff.is_zero():
+                    raise ModelError(f"families {probe.fid!r} and {other.fid!r} overlap")
+                hits = [
+                    m
+                    for m in root_integer_neighbors(diff.reversed_in_n(), other.n0, None)
+                    if other.increment(m) == v
+                ]
+                if hits:
+                    raise ModelError(
+                        f"duplicate increment at node {nd.nid!r}: families "
+                        f"{probe.fid!r} (n={n}) and {other.fid!r} (n={hits[0]}) "
+                        f"share {rat_str(v)}"
+                    )
 
     # -- misc -----------------------------------------------------------------
     def diagonal_closure_is_trivial(self) -> bool:

@@ -170,10 +170,13 @@ def _build_step_problem(
     fixed: list[AffinePiece] = []
     for inc, child in sorted(node.children, key=lambda c: c[1]):
         v = child_values[child]
-        if v == MINUS_INF or _harvested(s, inc):
+        # a float child value is only ever the -inf marker
+        if type(v) is float or _harvested(s, inc):
             continue
         # a child interval enters through its upper bound (safe superhedge)
         fixed.append(AffinePiece(inc, value_bounds(v)[1], f"node:{child}"))
+    if not node.families:
+        return StepProblem(fixed, [])
     members, groups = _family_constraints(tree, s, node, family_pieces)
     return StepProblem(fixed + members, groups)
 
@@ -292,6 +295,14 @@ def _step_feasible(problem: StepProblem, V: Fraction, h: Fraction) -> bool:
 
 def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) -> StepResult:
     """Exact value of the one-step program, attained flag and certificate."""
+    if not problem.groups:
+        # no member to add and none to block a drift: one round is final
+        res = min_max_affine(problem.fixed)
+        if res.drift:
+            return _drift_exit(problem, res.drift)
+        if res.value == MINUS_INF:
+            return StepResult(MINUS_INF, False, None, [], [], "no surviving constraints")
+        return _attained(res)
     working: list[AffinePiece] = list(problem.fixed)
     for g in problem.groups:
         working.extend(g.seed_pieces())
@@ -309,14 +320,7 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
         if res.drift:
             blocker = _blocking_member(problem, res.drift)
             if blocker is None:
-                limit = _asymptotic_value(problem, res.drift)
-                if limit is None:
-                    raise PricingError("unblocked drift direction has no asymptotic value")
-                if limit == MINUS_INF:
-                    return StepResult(
-                        MINUS_INF, False, None, [], [], "one-sided harvest"
-                    )
-                return _drift_result(problem, limit, res.drift)
+                return _drift_exit(problem, res.drift)
             if blocker.label in seen:  # pragma: no cover - blocked drift recurring
                 raise PricingError("exchange stalled on a blocked drift direction")
             seen.add(blocker.label)
@@ -334,10 +338,7 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
             if n is not None:
                 violations.append((viol, g, n))
         if not violations:
-            tight_children = [
-                lbl.split(":", 1)[1] for lbl in res.tight if lbl.startswith("node:")
-            ]
-            return StepResult(V, True, h, tight_children, sorted(res.tight))
+            return _attained(res)
 
         if abs(h) > DRIFT_THRESHOLD:
             direction = 1 if h > 0 else -1
@@ -373,6 +374,22 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
     if interval.width <= tolerance:
         return StepResult(interval, False, h, [], [], "interval (round cap)")
     raise UnconvergedError(interval)
+
+
+def _attained(res: MinMaxResult) -> StepResult:
+    """The step's answer from a final min-max round with a finite optimum."""
+    tight_children = [lbl.split(":", 1)[1] for lbl in res.tight if lbl.startswith("node:")]
+    return StepResult(res.value, True, res.h, tight_children, sorted(res.tight))
+
+
+def _drift_exit(problem: StepProblem, direction: int) -> StepResult:
+    """The step's answer when no member blocks the drift direction."""
+    limit = _asymptotic_value(problem, direction)
+    if limit is None:
+        raise PricingError("unblocked drift direction has no asymptotic value")
+    if limit == MINUS_INF:
+        return StepResult(MINUS_INF, False, None, [], [], "one-sided harvest")
+    return _drift_result(problem, limit, direction)
 
 
 def _drift_result(problem: StepProblem, limit: Fraction, direction: int) -> StepResult:

@@ -230,6 +230,10 @@ TRUNCATED_LINES = [
     ("decomposition", "alpha t=1 at-family down poly=1/10 from=0"),
     ("decomposition", "alpha t=1 at-family down poly=1/10 from=5 to=3"),
     ("decomposition", "alpha t=1 at-family nosuch poly=0 from=1"),
+    ("payoff", "at-family down poly=0,1 from=0"),
+    ("payoff", "at-family down poly=0,1 from=5 to=3"),
+    ("payoff", "at-family down poly=0,1 from=1\nat-family down poly=0,2 from=1"),
+    ("payoff", "at-family down poly=0,1 to=4\nat-family down poly=0,2 from=3"),
 ]
 
 
@@ -250,7 +254,23 @@ def test_truncated_tree_line_exits_2(
         bad.write_text(f"decomposition base=0\ndeltas 1/10,1/10\n{line}\n")
         argv = ["verify-decomp", tree_file, process_file, str(bad)]
     rc, _, err = run(capsys, *argv)
-    assert rc == 2 and "line 3" in err and "Traceback" not in err
+    # the error is reported at the entry's last line
+    at = 2 + len(line.splitlines())
+    assert rc == 2 and f"line {at}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ["ba", "ab"])
+def test_family_collision_found_in_either_order(capsys, tmp_path, order):
+    # member 100 of 1/n^2 equals member 10 of 1/(1000n): both are 1/10000
+    line = {
+        "a": "family r poly=0,0,1 n0=1 id=a",
+        "b": "family r poly=0,1/1000 n0=1 id=b",
+    }
+    bad = tmp_path / "tree.txt"
+    families = "".join(line[k] + "\n" for k in order)
+    bad.write_text("tree s0=1 horizon=1\nnode r t=0\n" + families)
+    rc, _, err = run(capsys, "classify", str(bad))
+    assert rc == 2 and "share 1/10000" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,16 @@ def test_parse_single_constant_trajectory():
     assert t.node("only").is_leaf
 
 
+def test_nodes_at_time_follows_growth():
+    t = TrajectoryTree(0, 2, "r")
+    t.add_child("r", 1, "b")
+    assert [nd.nid for nd in t.nodes_at_time(1)] == ["b"]
+    t.nodes_at_time(1).clear()  # callers get a fresh list
+    t.add_child("r", -1, "a")
+    assert [nd.nid for nd in t.nodes_at_time(1)] == ["a", "b"]
+    assert t.nodes_at_time(2) == []
+
+
 def test_duplicate_increment_rejected():
     doc = (
         "tree s0=0 horizon=1\nnode r t=0\nnode a t=1\nnode b t=1\n"
