@@ -77,7 +77,6 @@ from .oracle import (
 )
 from .poly import Poly, parse_rat, rat_str
 from .pricing import (
-    DEFAULT_TOLERANCE,
     Interval,
     PriceResult,
     PricingError,
@@ -95,7 +94,6 @@ from .pricing import (
     sigma_bar_all,
     sigma_bar_payoff,
     tower_check,
-    value_le,
 )
 
 __version__ = "0.1.0"

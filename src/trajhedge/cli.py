@@ -29,14 +29,7 @@ from .fileformat import (
 from .model import MINUS_INF, ModelError
 from .oracle import OracleError, dual_price, grid_superhedge
 from .poly import parse_rat, rat_str
-from .pricing import (
-    DEFAULT_TOLERANCE,
-    Interval,
-    PricingError,
-    UnconvergedError,
-    i_bar,
-    sigma_bar,
-)
+from .pricing import PricingError, UnconvergedError, i_bar, sigma_bar
 
 
 def _read(path: str) -> str:
@@ -47,20 +40,18 @@ def _read(path: str) -> str:
         raise ParseError(str(exc), 0)
 
 
-def _value_fields(v):
-    if v == MINUS_INF:
-        return {"value": "-inf"}
-    if isinstance(v, Interval):
-        return {"value_lo": rat_str(v.lo), "value_hi": rat_str(v.hi)}
-    return {"value": rat_str(v)}
+def _value_text(v) -> str:
+    return "-inf" if v == MINUS_INF else rat_str(v)
 
 
 def _print_price(result, as_json: bool) -> None:
     if as_json:
-        payload = dict(_value_fields(result.value))
-        payload["attained"] = result.attained
-        payload["active"] = result.active
-        payload["note"] = result.note
+        payload = {
+            "value": _value_text(result.value),
+            "attained": result.attained,
+            "active": result.active,
+            "note": result.note,
+        }
         if result.hedge is not None:
             payload["certificate"] = {
                 "initial_capital": rat_str(result.hedge.initial_capital),
@@ -73,8 +64,6 @@ def _print_price(result, as_json: bool) -> None:
         return
     if result.value == MINUS_INF:
         print("-inf")
-    elif isinstance(result.value, Interval):
-        print(f"[{rat_str(result.value.lo)}, {rat_str(result.value.hi)}]")
     else:
         attain = "attained" if result.attained else "not attained"
         print(f"{rat_str(result.value)} ({attain})")
@@ -114,12 +103,9 @@ def cmd_analyze(args) -> int:
 def cmd_price(args) -> int:
     tree = parse_tree(_read(args.tree))
     payoff = parse_payoff(_read(args.payoff), tree)
-    tol = parse_rat(args.tolerance) if args.tolerance else DEFAULT_TOLERANCE
     node = args.node if args.node else tree.root
-    if args.op == "sigma":
-        result = sigma_bar(tree, payoff, node, tol)
-    else:
-        result = i_bar(tree, payoff, node, tol)
+    op = sigma_bar if args.op == "sigma" else i_bar
+    result = op(tree, payoff, node)
     _print_price(result, args.json)
     return 0
 
@@ -164,13 +150,12 @@ def cmd_oracle(args) -> int:
                     {
                         "pass": ok,
                         "dual": rat_str(dual),
-                        **{f"lp_{k}": v for k, v in _value_fields(lp.value).items()},
+                        "lp_value": _value_text(lp.value),
                     }
                 )
             )
         else:
-            lpv = _value_fields(lp.value)
-            print(f"dual={rat_str(dual)} lp={lpv.get('value', lp.value)}")
+            print(f"dual={rat_str(dual)} lp={_value_text(lp.value)}")
             print("PASS" if ok else "FAIL")
         return 0 if ok else 1
     bound, step = parse_rat(args.bound), parse_rat(args.step)
@@ -183,7 +168,7 @@ def cmd_oracle(args) -> int:
                 {
                     "pass": ok,
                     "grid_upper": rat_str(upper),
-                    **{f"lp_{k}": v for k, v in _value_fields(lp.value).items()},
+                    "lp_value": _value_text(lp.value),
                 }
             )
         )
@@ -238,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("payoff")
     sp.add_argument("--op", choices=("sigma", "ibar"), required=True)
     sp.add_argument("--node", default=None)
-    sp.add_argument("--tolerance", default=None)
+    sp.add_argument(
+        "--tolerance", default=None, help="no effect: every price is exact"
+    )
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_price)
 

@@ -20,7 +20,7 @@ from .decomposition import (
     verify_decomposition,
 )
 from .fileformat import parse_payoff, parse_process, parse_tree
-from .model import MINUS_INF, PayoffSpec, wealth_on_member
+from .model import PayoffSpec, wealth_on_member
 from .poly import Poly, rat_str
 from .pricing import (
     check_supermartingale,
@@ -28,7 +28,6 @@ from .pricing import (
     is_null,
     norm_j,
     sigma_bar,
-    value_bounds,
 )
 from .oracle import explicit_reduction, martingale_measures
 
@@ -52,11 +51,7 @@ class CorpusRow:
 
 
 def _fmt(v) -> str:
-    if v == MINUS_INF:
-        return "-inf"
-    if isinstance(v, Fraction):
-        return rat_str(v)
-    return str(v)
+    return rat_str(v) if isinstance(v, Fraction) else str(v)  # -inf, or None
 
 
 def tail_indicator(tree, n0: int) -> PayoffSpec:
@@ -253,8 +248,7 @@ def _entries() -> list[tuple[str, Callable[[], tuple[str, str, bool]]]]:
             "payoff maturity=2\nat z2 = 0\nat uu = 0\nat ud = 1\nat m2 = 0\n", t
         )
         r = i_bar(t, f)
-        lo, hi = value_bounds(r.value)
-        ok = lo >= Q(1, 6) - Q(1, 10**9) and r.value == Q(1, 3)
+        ok = Q(1, 6) <= r.value == Q(1, 3)
         return "1/3 (>= 1/6)", _fmt(r.value), ok
 
     @entry("failure example: time-1 claim prices to 1")

@@ -48,7 +48,6 @@ from .poly import (
 )
 from .pricing import (
     MINUS_INF,
-    PricingError,
     ScanGroup,
     StepProblem,
     StepResult,
@@ -60,7 +59,6 @@ from .pricing import (
     check_supermartingale,
     one_step_feasible_hedge,
     solve_step,
-    value_bounds,
 )
 
 
@@ -109,14 +107,8 @@ def _violation_nodes(
             if nd.is_leaf:
                 continue
             step = _next_step(steps, tree, f, nd.nid, analysis)
-            lo, hi = value_bounds(step.value)
-            if hi == MINUS_INF:
-                continue
-            target = f[j].node_values[nd.nid]
-            if lo > target:
+            if step.value > f[j].node_values[nd.nid]:
                 out.add(nd.nid)
-            elif hi > target:
-                raise PricingError("one-step price undecided against running value")
     return out
 
 

@@ -203,24 +203,32 @@ def render_tree(tree: TrajectoryTree) -> str:
 
 
 def parse_payoff(text: str, tree: TrajectoryTree) -> PayoffSpec:
-    spec = _parse_payoff_block(list(_tokenize(text)), tree)
+    spec, header, fam_lines = _parse_payoff_block(list(_tokenize(text)), tree)
     try:
         spec.validate(tree)
     except ModelError as exc:
-        raise ParseError(str(exc), 1) from exc
+        raise ParseError(str(exc), fam_lines.get(exc.fid, header)) from exc
     return spec
 
 
-def _parse_payoff_block(lines, tree: TrajectoryTree) -> PayoffSpec:
+def _parse_payoff_block(
+    lines, tree: TrajectoryTree
+) -> tuple[PayoffSpec, int, dict[str, int]]:
+    """The payoff of a block, unvalidated, with the line of its header and
+    the first at-family line of each family: a family's cover fault is
+    reported at the latter, any other fault at the header."""
     maturity: Optional[int] = None
+    header = 1
     node_values: dict[str, object] = {}
     fam_pieces: dict[str, list[Piece]] = {}
+    fam_lines: dict[str, int] = {}
     for line_no, toks in lines:
         kind = toks[0]
         if kind == "payoff":
             if maturity is not None:
                 raise ParseError("duplicate payoff header", line_no)
             maturity = _parse_int(_kv(toks[1:], "maturity", line_no), line_no)
+            header = line_no
         elif kind == "at":
             if len(toks) < 4 or toks[2] != "=":
                 raise ParseError("expected: at <node-id> = <rational>", line_no)
@@ -230,15 +238,15 @@ def _parse_payoff_block(lines, tree: TrajectoryTree) -> PayoffSpec:
             if len(toks) < 2:
                 raise ParseError("at-family line needs a family id", line_no)
             fam = _family(tree, toks[1], line_no)
+            fam_lines.setdefault(fam.fid, line_no)
             windows = fam_pieces.setdefault(fam.fid, [])
             _member_window(toks[2:], fam, windows, line_no, "payoff")
         else:
             raise ParseError(f"unknown payoff directive {kind!r}", line_no)
     if maturity is None:
         raise ParseError("missing payoff header", 1)
-    return PayoffSpec(
-        maturity, node_values, {f: tuple(sorted(p)) for f, p in fam_pieces.items()}
-    )
+    pieces = {f: tuple(sorted(p)) for f, p in fam_pieces.items()}
+    return PayoffSpec(maturity, node_values, pieces), header, fam_lines
 
 
 def render_payoff(spec: PayoffSpec) -> str:
@@ -273,11 +281,14 @@ def parse_process(text: str, tree: TrajectoryTree) -> ProcessSequence:
         if not blocks:
             raise ParseError("content before first payoff block", line_no)
         blocks[-1].append((line_no, toks))
-    specs = [_parse_payoff_block(block, tree) for block in blocks]
+    parsed = [_parse_payoff_block(block, tree) for block in blocks]
     try:
-        return ProcessSequence(tree, specs)
+        return ProcessSequence(tree, [spec for spec, _, _ in parsed])
     except ModelError as exc:
-        raise ParseError(str(exc), lines[0][0]) from exc
+        if exc.entry is None:  # the number of entries
+            raise ParseError(str(exc), lines[0][0]) from exc
+        _, header, fam_lines = parsed[exc.entry]
+        raise ParseError(str(exc), fam_lines.get(exc.fid, header)) from exc
 
 
 def render_process(proc: ProcessSequence) -> str:

@@ -30,7 +30,15 @@ NRange = tuple[int, Optional[int]]
 
 
 class ModelError(ValueError):
-    """Invariant violation in a tree, payoff or process description."""
+    """Invariant violation in a tree, payoff or process description.
+
+    ``fid`` names the family whose member pieces are at fault and ``entry``
+    the process entry, where the fault lies in one."""
+
+    def __init__(self, message: str, *, fid: Optional[str] = None):
+        super().__init__(message)
+        self.fid = fid
+        self.entry: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +351,9 @@ class PayoffSpec:
                 raise ModelError(f"payoff misses family {fam.fid!r}")
             gap = member_cover_gap(fam, pieces)
             if gap:
-                raise ModelError(f"payoff pieces for family {fam.fid!r} {gap}")
+                raise ModelError(
+                    f"payoff pieces for family {fam.fid!r} {gap}", fid=fam.fid
+                )
 
     def is_finite(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.node_values.values())
@@ -483,11 +493,15 @@ class ProcessSequence:
         if len(specs) != tree.horizon + 1:
             raise ModelError("process needs one payoff per time 0..horizon")
         for j, spec in enumerate(specs):
-            if spec.maturity != j:
-                raise ModelError(f"process entry {j} has maturity {spec.maturity}")
-            if not spec.is_finite():
-                raise ModelError("process entries must be real-valued")
-            spec.validate(tree)
+            try:
+                if spec.maturity != j:
+                    raise ModelError(f"process entry {j} has maturity {spec.maturity}")
+                if not spec.is_finite():
+                    raise ModelError("process entries must be real-valued")
+                spec.validate(tree)
+            except ModelError as exc:
+                exc.entry = j
+                raise
         self.tree = tree
         self.specs = list(specs)
 

@@ -21,7 +21,6 @@ from .lp import AffinePiece, minimize
 from .model import MINUS_INF, HedgeSequence, PayoffSpec, SimpleStrategy, TrajectoryTree
 from .poly import rat
 from .pricing import (
-    DEFAULT_TOLERANCE,
     MAX_ROUNDS,
     Interval,
     PriceResult,
@@ -257,7 +256,6 @@ def i_bar_lp(
     tree: TrajectoryTree,
     f: PayoffSpec,
     nid: Optional[str] = None,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> PriceResult:
     """Null-operator value as one aggregated nonnegative-wealth LP.
 
@@ -358,10 +356,7 @@ def i_bar_lp(
                 work_rows.append(row(owner, p))
     if result is None:
         worst = max(v for v, *_ in violations)
-        interval = Interval(sol.value, sol.value + worst)
-        if interval.width <= tolerance:
-            return PriceResult(interval, False, None, [], "interval (round cap)")
-        raise UnconvergedError(interval)
+        raise UnconvergedError(Interval(sol.value, sol.value + worst))
 
     sol, final_rows = result
     hedge = HedgeSequence()

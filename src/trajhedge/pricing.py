@@ -14,8 +14,18 @@ dropped ("waived") when no portfolio can be forced to pay there:
 
 Family branches make the one-step program semi-infinite; it is solved by a
 constraint-exchange loop seeded with each family's limit constraint, with an
-exact violation oracle.  An optimum that runs off to |h| = infinity is the
-unattained-infimum case; its value is the exact asymptotic envelope.
+exact violation oracle.  Every answer is an exact rational or -inf, and the
+loop stops only on one of three exact tests:
+
+* attained: no member is violated at the working optimum;
+* tangent: a violated family's tail is tangent at the working value, at a
+  position that passes every constraint (the optimum no finite working set
+  reaches);
+* drift: a violated family's tail is violated at every position and the
+  working value is the asymptotic envelope in an unblocked direction (the
+  unattained infimum as |h| -> infinity).
+
+Its round cap is a guard that raises ``UnconvergedError``, never an answer.
 
 ``i_bar`` is the null operator: one aggregated strategy whose wealth stays
 nonnegative at every surviving node and dominates the claim at maturity.
@@ -46,9 +56,7 @@ from .model import (
 )
 from .poly import Poly, grid_member_above, grid_summary, intersect_ranges, rat_str
 
-DRIFT_THRESHOLD = Fraction(10**6)
-MAX_ROUNDS = 200
-DEFAULT_TOLERANCE = Fraction(1, 10**9)
+MAX_ROUNDS = 200  # a guard on the exchange loop, never an answer (see solve_step)
 EXPAND_LIMIT = 64  # bounded member ranges up to this size become plain rows
 
 
@@ -59,7 +67,7 @@ class PricingError(ValueError):
 class UnconvergedError(PricingError):
     def __init__(self, interval: "Interval"):
         super().__init__(
-            f"exchange did not close below tolerance; best interval "
+            f"exchange did not close; best interval "
             f"[{rat_str(interval.lo)}, {rat_str(interval.hi)}]"
         )
         self.interval = interval
@@ -75,18 +83,7 @@ class Interval:
         return self.hi - self.lo
 
 
-PriceValue = Union[Fraction, float, Interval]
-
-
-def value_bounds(v: PriceValue) -> tuple:
-    if isinstance(v, Interval):
-        return v.lo, v.hi
-    return v, v
-
-
-def value_le(a: PriceValue, b: PriceValue) -> bool:
-    """Conservative a <= b: certain under interval uncertainty."""
-    return value_bounds(a)[1] <= value_bounds(b)[0]
+PriceValue = Union[Fraction, float]  # an exact rational, or the -inf marker
 
 
 @dataclass
@@ -173,8 +170,7 @@ def _build_step_problem(
         # a float child value is only ever the -inf marker
         if type(v) is float or _harvested(s, inc):
             continue
-        # a child interval enters through its upper bound (safe superhedge)
-        fixed.append(AffinePiece(inc, value_bounds(v)[1], f"node:{child}"))
+        fixed.append(AffinePiece(inc, v, f"node:{child}"))
     if not node.families:
         return StepProblem(fixed, [])
     members, groups = _family_constraints(tree, s, node, family_pieces)
@@ -265,21 +261,23 @@ def _blocking_member(problem: StepProblem, direction: int) -> Optional[AffinePie
     return None
 
 
-def _tangent_candidate(group: ScanGroup, V: Fraction) -> Optional[Fraction]:
-    """Slope of the binding tail constraints: lowest-order coefficient ratio."""
-    num = group.vpoly.shift(-V)
-    den = group.dpoly
-    na, nb = list(num.coeffs), list(den.coeffs)
-    k = 0
-    while k < max(len(na), len(nb)):
-        a = na[k] if k < len(na) else Fraction(0)
-        b = nb[k] if k < len(nb) else Fraction(0)
+def _tail(group: ScanGroup, V: Fraction) -> tuple[Optional[Fraction], bool]:
+    """The group's members as n -> inf against level V, read off the
+    lowest-order coefficients of v - V and d at t = 0 in one walk.
+
+    Returns the tangent slope, the ratio of those coefficients at the order
+    of d (None when v - V has a lower order), and whether the tail is
+    violated at every h: on an unbounded window, v - V of lower order than d
+    with a positive leading coefficient."""
+    num, den = group.vpoly.shift(-V).coeffs, group.dpoly.coeffs
+    for k in range(max(len(num), len(den))):
+        a = num[k] if k < len(num) else 0
+        b = den[k] if k < len(den) else 0
         if b != 0:
-            return a / b
+            return a / b, False
         if a != 0:
-            return None
-        k += 1
-    return None
+            return None, a > 0 and group.n_hi is None
+    return None, False
 
 
 def _step_feasible(problem: StepProblem, V: Fraction, h: Fraction) -> bool:
@@ -293,8 +291,29 @@ def _step_feasible(problem: StepProblem, V: Fraction, h: Fraction) -> bool:
     return True
 
 
-def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) -> StepResult:
-    """Exact value of the one-step program, attained flag and certificate."""
+def solve_step(problem: StepProblem) -> StepResult:
+    """Exact value of the one-step program, attained flag and certificate.
+
+    Constraint exchange: the working set's min-max value V never exceeds the
+    step's value V*.  A round that leaves violated members closes the step
+    exactly when
+      * the tail of a violated group is tangent at V, at a slope h that
+        passes every constraint (V = V*, attained there: "tangent hedge"), or
+      * the tail of a violated unbounded group is violated at every h (so no
+        finite h reaches V) and V is the envelope's limit in an unblocked
+        direction (V = V*, approached as |h| -> inf);
+    otherwise the round's most violated members join the working set.
+
+    Why MAX_ROUNDS is never reached: on a closed h-interval that avoids each
+    unbounded group's tangent slope, only finitely many of its members rise
+    above its limit piece, so there the program is a finite max and exchange
+    ends with no violation.  At a tangent slope the tail adds no slope beyond
+    its limit piece's, which the working set holds from the first round, so V
+    reaches V* once the finitely many head members active at the optimum are
+    in; a working optimum that still sees violations is then the tangent
+    itself, or lies at |h| = inf, where some tail stays violated at every h.
+    The cap raises ``UnconvergedError`` rather than answer.
+    """
     if not problem.groups:
         # no member to add and none to block a drift: one round is final
         res = min_max_affine(problem.fixed)
@@ -310,14 +329,12 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
             working.append(g.piece_at(g.n_hi))
     seen = {p.label for p in working}
 
-    stagnant = 0
-    last_value: Optional[Fraction] = None
-    last_point: Optional[tuple[Fraction, Fraction]] = None
     res: MinMaxResult = min_max_affine(working)
     for _ in range(MAX_ROUNDS):
         if res.value == MINUS_INF and not res.drift:
             return StepResult(MINUS_INF, False, None, [], [], "no surviving constraints")
         if res.drift:
+            # the working set is one-sided; after its blocker it never is again
             blocker = _blocking_member(problem, res.drift)
             if blocker is None:
                 return _drift_exit(problem, res.drift)
@@ -331,7 +348,6 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
         V, h = res.value, res.h
         if not isinstance(V, Fraction) or h is None:
             raise PricingError("min-max round returned no finite value and hedge")
-        last_point = (V, h)
         violations = []
         for g in problem.groups:
             n, viol = _group_violation(g, V, h)
@@ -340,19 +356,14 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
         if not violations:
             return _attained(res)
 
-        if abs(h) > DRIFT_THRESHOLD:
-            direction = 1 if h > 0 else -1
-            limit = _asymptotic_value(problem, direction)
-            if limit is not None and limit == V:
-                return _drift_result(problem, limit, direction)
-
-        if last_value == V:
-            stagnant += 1
+        tails = [_tail(g, V) for _, g, _n in violations]
+        if any(everywhere for _, everywhere in tails):
+            # no h reaches V, so no tangent can: V* = V only as a limit
+            for direction in (1, -1):
+                if _asymptotic_value(problem, direction) == V:
+                    return _drift_result(problem, V, direction)
         else:
-            stagnant, last_value = 0, V
-        if stagnant >= 20:
-            for _, g, _n in violations:
-                cand = _tangent_candidate(g, V)
+            for cand, _ in tails:
                 if cand is not None and _step_feasible(problem, V, cand):
                     return StepResult(V, True, cand, [], [], "tangent hedge")
 
@@ -363,17 +374,8 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
                 working.append(g.piece_at(n))
         res = min_max_affine(working)
 
-    if last_point is None:
-        raise PricingError("exchange made no progress")
-    V, h = last_point
-    worst = Fraction(0)
-    for g in problem.groups:
-        _, viol = _group_violation(g, V, h)
-        worst = max(worst, viol)
-    interval = Interval(V, V + worst)
-    if interval.width <= tolerance:
-        return StepResult(interval, False, h, [], [], "interval (round cap)")
-    raise UnconvergedError(interval)
+    # every round after a blocker is two-sided, so V and violations are bound
+    raise UnconvergedError(Interval(V, V + max(viol for viol, _, _ in violations)))
 
 
 def _attained(res: MinMaxResult) -> StepResult:
@@ -410,7 +412,6 @@ def one_step_superhedge(
     child_values: dict[str, PriceValue],
     family_pieces: Optional[dict[str, Sequence[Piece]]] = None,
     analysis: Optional[Analysis] = None,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> StepResult:
     """Single-period superhedging kernel at a node (continuation values given)."""
     analysis = analysis or analyze(tree)
@@ -423,7 +424,7 @@ def one_step_superhedge(
     )
     if not problem.fixed and not problem.groups:
         return StepResult(MINUS_INF, False, None, [], [], "all children waived")
-    return solve_step(problem, tolerance)
+    return solve_step(problem)
 
 
 def one_step_feasible_hedge(
@@ -454,17 +455,13 @@ def _feasible_position(
     """A finite h with target >= value - h * slope on every constraint.
 
     ``step`` is ``solve_step(problem)``.  None exactly when no finite
-    position exists; an interval-valued step above the target is undecided
-    and raises ``UnconvergedError``.
+    position exists.
     """
-    lo, hi = value_bounds(step.value)
-    if hi != MINUS_INF and hi > target:
-        if lo == hi:
-            return None
-        raise UnconvergedError(Interval(lo, hi))
+    if step.value > target:
+        return None
     if step.attained:
         return step.h
-    if hi != MINUS_INF and lo == target:
+    if step.value == target:
         return None  # infimum equals the target but is never reached
     # an unattained infimum below the target: walk out in each unblocked
     # drift direction, doubling |h|, until the slack certifies feasibility
@@ -495,11 +492,10 @@ def sigma_bar(
     tree: TrajectoryTree,
     f: PayoffSpec,
     nid: Optional[str] = None,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> PriceResult:
     """Conditional superhedging price of f at a node (default: the root)."""
     nid = nid if nid is not None else tree.root
-    memo, active, note = _sigma_pass(tree, f, [nid], tolerance)
+    memo, active, note = _sigma_pass(tree, f, [nid])
     top = memo[nid]
     hedge = HedgeSequence()
     for sub in tree.subtree(nid):
@@ -518,11 +514,10 @@ def sigma_bar(
 def sigma_bar_all(
     tree: TrajectoryTree,
     f: PayoffSpec,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> dict[str, PriceValue]:
     """Conditional outer price of f at every node, in one shared recursion."""
     order = [nd.nid for nd in sorted(tree.nodes.values(), key=lambda n: -n.time)]
-    memo = _sigma_pass(tree, f, order, tolerance)[0]
+    memo = _sigma_pass(tree, f, order)[0]
     return {nid: e.value for nid, e in memo.items()}
 
 
@@ -530,7 +525,6 @@ def _sigma_pass(
     tree: TrajectoryTree,
     f: PayoffSpec,
     starts: Sequence[str],
-    tolerance: Fraction,
 ) -> tuple[dict[str, _NodeEval], list[str], str]:
     """Backward induction of the one-step kernel from each start node in turn.
 
@@ -558,9 +552,7 @@ def _sigma_pass(
         else:
             child_values = {child: ev(child).value for _, child in node.children}
             pieces = {fid: f.family_values[fid] for fid in node.families}
-            step = one_step_superhedge(
-                tree, cur, child_values, pieces, analysis, tolerance
-            )
+            step = one_step_superhedge(tree, cur, child_values, pieces, analysis)
             attained = step.attained and all(
                 ev(c).attained for c in step.tight_children
             )
@@ -574,19 +566,13 @@ def _sigma_pass(
     return memo, *last
 
 
-def sigma_bar_payoff(
-    tree: TrajectoryTree, f: PayoffSpec, at_time: int,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
-) -> PayoffSpec:
+def sigma_bar_payoff(tree: TrajectoryTree, f: PayoffSpec, at_time: int) -> PayoffSpec:
     """sigma_bar_k f as a maturity-k payoff (values -inf where continuity fails)."""
     if at_time > f.maturity:
         raise PricingError("evaluation time after maturity")
-    node_values: dict[str, PriceValue] = {}
-    for nd in tree.nodes_at_time(at_time):
-        r = sigma_bar(tree, f, nd.nid, tolerance)
-        if isinstance(r.value, Interval):
-            raise UnconvergedError(r.value)
-        node_values[nd.nid] = r.value
+    node_values: dict[str, PriceValue] = {
+        nd.nid: sigma_bar(tree, f, nd.nid).value for nd in tree.nodes_at_time(at_time)
+    }
     fam_values = {}
     for fam in tree.families_born_by(at_time):
         fam_values[fam.fid] = f.family_values[fam.fid]
@@ -603,11 +589,7 @@ def tower_check(
         raise PricingError("need j <= k <= maturity")
     inner = sigma_bar_payoff(tree, f, k)
     for nd in tree.nodes_at_time(j):
-        lhs = sigma_bar(tree, inner, nd.nid).value
-        rhs = sigma_bar(tree, f, nd.nid).value
-        if lhs == MINUS_INF:
-            continue
-        if rhs == MINUS_INF or not value_le(lhs, rhs):
+        if sigma_bar(tree, inner, nd.nid).value > sigma_bar(tree, f, nd.nid).value:
             return False, nd.nid
     return True, None
 
@@ -694,17 +676,8 @@ def _check_supermartingale(
             if nd.is_leaf or analysis.fully_covered(nd.nid):
                 continue
             step = _next_step(steps, tree, f, nd.nid, analysis)
-            lo, hi = value_bounds(step.value) if step.value != MINUS_INF else (
-                MINUS_INF, MINUS_INF
-            )
-            if hi == MINUS_INF:
-                continue
-            target = f[j].node_values[nd.nid]
-            if hi <= target:
-                continue
-            if lo > target:
+            if step.value > f[j].node_values[nd.nid]:
                 return False, nd.nid
-            raise UnconvergedError(Interval(lo, hi))
         # member positions: the sequence itself must not climb along survivors
         for fam in tree.families_born_by(j):
             for lo_r, hi_r in analysis.alive_member_ranges(fam.fid):
@@ -750,7 +723,6 @@ def i_bar(
     tree: TrajectoryTree,
     f: PayoffSpec,
     nid: Optional[str] = None,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> PriceResult:
     """Null-operator value: cheapest nonnegative aggregate dominating f.
 
@@ -758,15 +730,13 @@ def i_bar(
     non-harvested children, and exists when every position it needs does."""
     nid = nid if nid is not None else tree.root
     analysis = analyze(tree)
-    memo, active = _i_bar_pass(tree, f, analysis, [nid], tolerance)
+    memo, active = _i_bar_pass(tree, f, analysis, [nid])
     start = tree.node(nid)
     value = memo[nid].value
     if start.time > f.maturity:
         # the claim is a constant here; it is harvested for free from bad nodes
         note = "" if analysis.good[nid] else "bad node: free harvest"
         return PriceResult(value, True, None, active, note)
-    if isinstance(value, Interval):
-        return PriceResult(value, False, None, [], "interval (round cap)")
     hedge, attained, stack = HedgeSequence(), True, [nid]
     while stack:
         node = tree.node(stack.pop())
@@ -789,21 +759,19 @@ def i_bar_backward(
     tree: TrajectoryTree,
     f: PayoffSpec,
     nid: Optional[str] = None,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> PriceValue:
     """Null-operator value alone, from the same backward pass as ``i_bar``."""
     nid = nid if nid is not None else tree.root
-    return _i_bar_pass(tree, f, analyze(tree), [nid], tolerance)[0][nid].value
+    return _i_bar_pass(tree, f, analyze(tree), [nid])[0][nid].value
 
 
 def i_bar_backward_all(
     tree: TrajectoryTree,
     f: PayoffSpec,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> dict[str, PriceValue]:
     """Null-operator value at every node, in one shared recursion."""
     order = [nd.nid for nd in sorted(tree.nodes.values(), key=lambda n: -n.time)]
-    memo = _i_bar_pass(tree, f, analyze(tree), order, tolerance)[0]
+    memo = _i_bar_pass(tree, f, analyze(tree), order)[0]
     return {nid: e.value for nid, e in memo.items()}
 
 
@@ -812,7 +780,6 @@ def _i_bar_pass(
     f: PayoffSpec,
     analysis: Analysis,
     starts: Sequence[str],
-    tolerance: Fraction,
 ) -> tuple[dict[str, _NodeEval], list[str]]:
     """Backward induction of the one-step kernel, floored at zero.
 
@@ -845,18 +812,12 @@ def _i_bar_pass(
             if not problem.fixed and not problem.groups:
                 out, active = _NodeEval(Fraction(0), True, None), []
             else:
-                step = solve_step(problem, tolerance)
-                lo, hi = value_bounds(step.value)
-                if hi == MINUS_INF or hi <= 0:
-                    value: PriceValue = Fraction(0)
-                elif lo != hi and lo < 0:
-                    value = Interval(Fraction(0), hi)
-                else:
-                    value = step.value
+                step = solve_step(problem)
+                value = step.value if step.value > 0 else Fraction(0)
                 out, active = _NodeEval(value, True, None), step.active
                 if problem.groups or any(p.slope != 0 for p in problem.fixed):
                     # aim at the floored value, never below the step value
-                    h = _feasible_position(problem, step, value_bounds(value)[1])
+                    h = _feasible_position(problem, step, value)
                     out = _NodeEval(value, h is not None, h)
         memo[cur] = out
         return out
@@ -915,5 +876,4 @@ def is_null(
     if event.is_empty():
         return True, PriceResult(Fraction(0), True, None, [], "empty event")
     res = i_bar(tree, indicator_payoff(tree, event), nid)
-    lo, hi = value_bounds(res.value)
-    return hi == 0, res
+    return res.value == 0, res

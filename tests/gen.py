@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 from trajhedge.analysis import analyze
 from trajhedge.model import MINUS_INF, PayoffSpec, ProcessSequence, TrajectoryTree
 from trajhedge.poly import Poly
-from trajhedge.pricing import one_step_superhedge, value_bounds
+from trajhedge.pricing import one_step_superhedge
 
 INC_POOL = [Q(-2), Q(-1), Q(-1, 2), Q(-1, 3), Q(1, 3), Q(1, 2), Q(1), Q(2)]
 VAL_POOL = [Q(0), Q(1, 3), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(3)]
@@ -195,7 +195,7 @@ def random_supermartingale(rng: random.Random, tree: TrajectoryTree,
             if step.value == MINUS_INF:
                 base = Q(0)
             else:
-                base = value_bounds(step.value)[1]
+                base = step.value
             if nonneg:
                 base = max(base, Q(0))
             node_values[nd.nid] = base + rng.choice(slack_pool)

@@ -259,6 +259,54 @@ def test_truncated_tree_line_exits_2(
     assert rc == 2 and f"line {at}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        # a family's cover fault: at that family's first at-family line
+        ("payoff maturity=1\nat u = 0\nat-family down poly=0,1 from=2\n", 3),
+        ("payoff maturity=1\nat-family down poly=0,1 to=3\nat u = 0\n", 2),
+        # a node fault: at the payoff header
+        ("# no up value\npayoff maturity=1\nat-family down poly=0,1\n", 2),
+    ],
+)
+def test_payoff_fault_line(capsys, tmp_path, tree_file, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    rc, _, err = run(capsys, "price", tree_file, str(bad), "--op", "sigma")
+    assert rc == 2 and f"line {line}," in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "at,text,line",
+    [
+        # a gap in the time-2 block's down pieces: at that block's line
+        (9, "at-family down poly=0,1 from=2", 9),
+        # an entry fault (a -inf value): at the failing block's header
+        (5, "at u = -inf", 4),
+        # a block at the wrong time: at its header
+        (2, "payoff maturity=1", 2),
+    ],
+)
+def test_process_fault_line(capsys, tmp_path, tree_file, at, text, line):
+    lines = corpus_text("process-6-2-b.txt").splitlines()
+    lines[at - 1] = text
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc, _, err = run(
+        capsys, "decompose", tree_file, str(bad), "--delta", "1/10,1/10"
+    )
+    assert rc == 2 and f"line {line}," in err and "Traceback" not in err
+
+
+def test_price_tolerance_is_accepted_and_ignored(capsys, tree_file, payoff_file):
+    for op in ("sigma", "ibar"):
+        for extra in ((), ("--json",)):
+            argv = ["price", tree_file, payoff_file, "--op", op, *extra]
+            rc, plain, _ = run(capsys, *argv)
+            rc_tol, with_tol, _ = run(capsys, *argv, "--tolerance", "1/100")
+            assert rc == rc_tol == 0 and plain == with_tol
+
+
 @pytest.mark.parametrize("order", ["ba", "ab"])
 def test_family_collision_found_in_either_order(capsys, tmp_path, order):
     # member 100 of 1/n^2 equals member 10 of 1/(1000n): both are 1/10000

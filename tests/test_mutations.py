@@ -14,11 +14,11 @@ def test_corpus_catches_dropped_nonnegativity(monkeypatch):
     """Without the wealth floor the null operator degenerates."""
     real_ibar = pricing.i_bar
 
-    def broken_ibar(tree, f, nid=None, tolerance=pricing.DEFAULT_TOLERANCE):
-        res = real_ibar(tree, f, nid, tolerance)
+    def broken_ibar(tree, f, nid=None):
+        res = real_ibar(tree, f, nid)
         # emulate the drop: without V + h >= 0 at the sure-win node the
         # flagship program drifts to the outer price
-        sig = sigma_bar(tree, f, nid, tolerance)
+        sig = sigma_bar(tree, f, nid)
         if sig.value != pricing.MINUS_INF:
             res.value = sig.value
         return res

@@ -21,7 +21,6 @@ from trajhedge.pricing import (
     sigma_bar,
     sigma_bar_payoff,
     tower_check,
-    value_bounds,
 )
 
 from conftest import corpus_text
