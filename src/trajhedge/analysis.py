@@ -294,9 +294,6 @@ class Analysis:
     l_ae: Verdict
 
     # -- conveniences --------------------------------------------------------
-    def classify(self, nid: str) -> NodeClass:
-        return self.node_class[nid]
-
     def l_fails(self, nid: str) -> bool:
         return not self.l_holds[nid]
 
@@ -311,15 +308,9 @@ class Analysis:
         return "direct-computation"
 
     def fully_covered(self, nid: str) -> bool:
-        return self._fc(nid)
-
-    def _fc(self, nid: str) -> bool:
         if self.null_cover.covers_path(self.tree, nid):
             return True
         return _all_descendants_covered(self.tree, nid, self.null_cover)
-
-    def covered_member(self, fid: str, n: int) -> bool:
-        return self.null_cover.covers_member(self.tree, fid, n)
 
     def alive_member_ranges(self, fid: str) -> list[NRange]:
         return self.null_cover.uncovered_member_ranges(self.tree, fid)

@@ -23,7 +23,6 @@ from .analysis import (
     _subtract_many,
     analyze,
 )
-from .lp import AffinePiece
 from .model import (
     HedgeSequence,
     PayoffSpec,
@@ -48,16 +47,15 @@ from .poly import (
 )
 from .pricing import (
     MINUS_INF,
-    ScanGroup,
-    StepProblem,
-    StepResult,
+    PricingError,
+    StepMemo,
+    _build_step_problem,
     _check_supermartingale,
     _feasible_position,
     _member_diff,
     _next_step,
     _next_values,
     check_supermartingale,
-    one_step_feasible_hedge,
     solve_step,
 )
 
@@ -98,7 +96,7 @@ def _violation_nodes(
     tree: TrajectoryTree,
     f: ProcessSequence,
     analysis: Analysis,
-    steps: dict[str, StepResult],
+    steps: StepMemo,
 ):
     """Nodes where the one-step price strictly exceeds the running value."""
     out: set[str] = set()
@@ -106,7 +104,7 @@ def _violation_nodes(
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf:
                 continue
-            step = _next_step(steps, tree, f, nd.nid, analysis)
+            step = _next_step(steps, tree, f, nd.nid, analysis)[1]
             if step.value > f[j].node_values[nd.nid]:
                 out.add(nd.nid)
     return out
@@ -144,7 +142,7 @@ def _exception_set(
     tree: TrajectoryTree,
     f: ProcessSequence,
     analysis: Analysis,
-    steps: dict[str, StepResult],
+    steps: StepMemo,
 ) -> EventSet:
     """Arbitrage moves, failure cylinders and one-step violations.
 
@@ -184,7 +182,7 @@ def doob_decompose(
             "decomposition requires the a.e. continuity assumption: "
             + "; ".join(analysis.l_ae.witnesses)
         )
-    steps: dict[str, StepResult] = {}
+    steps: StepMemo = {}
     ok, witness = _check_supermartingale(tree, f, analysis, steps)
     if not ok:
         raise DecompositionError(f"not a supermartingale: violation at {witness}")
@@ -200,7 +198,10 @@ def doob_decompose(
             healthy = analysis.node_class[nd.nid] is NodeClass.UP_DOWN
             if healthy and nd.nid not in covered:
                 target = f[j].node_values[nd.nid] + deltas[j]
-                found = _hedge_at(tree, f, nd.nid, target, analysis, steps)
+                problem, step = _next_step(steps, tree, f, nd.nid, analysis)
+                if problem is None:  # every node failing continuity is excepted
+                    raise PricingError(f"no one-step problem at node {nd.nid!r}")
+                found = _feasible_position(problem, step, target)
                 if found is None:
                     raise DecompositionError(
                         f"no finite hedge within the slack at node {nd.nid!r}"
@@ -213,18 +214,6 @@ def doob_decompose(
     if not ok:  # pragma: no cover - construction is verified on the way out
         raise DecompositionError(f"internal verification failed: {why}")
     return d
-
-
-def _hedge_at(tree, f, nid, target, analysis, steps) -> Optional[Fraction]:
-    """one_step_feasible_hedge at nid, reusing the node's solved step.
-
-    An attained step within the target gives its own position; only the
-    unattained case solves again, to walk out along the drift."""
-    step = _next_step(steps, tree, f, nid, analysis)
-    if step.attained and step.value <= target:
-        return step.h
-    child_values, pieces = _next_values(tree, f, nid, analysis)
-    return one_step_feasible_hedge(tree, nid, child_values, pieces, target, analysis)
 
 
 def _mask_exceptions(tree, exceptions, covered, fid, lo, hi, poly) -> list[Piece]:
@@ -479,34 +468,23 @@ def decomposition_feasible(
     The reconstruction with nonnegative compensator increments demands
     f_{j+1} - f_j <= delta_j + h * increment on all non-null children; this
     solves the resulting one-position system node by node, exactly.  Unlike
-    the pricing kernel, only null-cover cylinders are waived: failure of
-    continuity from below at a non-null node does not excuse that node.
+    the pricing kernel, only null-cover cylinders are waived: covered
+    children continue at -inf, and failure of continuity from below at a
+    non-null node does not excuse that node.  The step builder's harvest
+    rule drops no more: harvested children are null-cover atoms, and the
+    null cover leaves a harvest node's families only their zero-increment
+    members.
     """
     analysis = analyze(tree)
     deltas = [rat(x) for x in deltas]
-    cover = analysis.null_cover
     for j in range(tree.horizon):
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf or analysis.fully_covered(nd.nid):
                 continue
             target = f[j].node_values[nd.nid] + deltas[j]
-            fixed: list[AffinePiece] = []
-            groups: list[ScanGroup] = []
-            for inc, child in sorted(nd.children, key=lambda c: c[1]):
-                if analysis.fully_covered(child):
-                    continue
-                fixed.append(
-                    AffinePiece(inc, f[j + 1].node_values[child], f"node:{child}")
-                )
-            for fid in sorted(nd.families):
-                fam = tree.family(fid)
-                for window in analysis.alive_member_ranges(fid):
-                    for p_lo, p_hi, vpoly in f[j + 1].family_values[fid]:
-                        meet = intersect_ranges(window, (p_lo, p_hi))
-                        if meet is not None:
-                            groups.append(ScanGroup(fid, fam.poly, vpoly, *meet))
-            problem = StepProblem(fixed, groups)
-            if not fixed and not groups:
+            values, pieces = _next_values(tree, f, nd.nid, analysis.fully_covered)
+            problem = _build_step_problem(tree, analysis, nd.nid, values, pieces)
+            if not problem.fixed and not problem.groups:
                 continue
             step = solve_step(problem)
             # a -inf one-step value needs no position at all

@@ -95,9 +95,12 @@ def _member_window(toks, fam, windows: list, line_no: int, what: str) -> None:
 
 
 def parse_tree(text: str) -> TrajectoryTree:
-    """Parse and fully validate a trajectory-set document."""
+    """Parse and fully validate a trajectory-set document.  A validation
+    fault is reported at the line that introduced its node or family."""
     tree: Optional[TrajectoryTree] = None
     declared: dict[str, int] = {}
+    node_lines: dict[str, int] = {}
+    fam_lines: dict[str, int] = {}
     root_id: Optional[str] = None
     pending: list[tuple[int, list[str]]] = []
     for line_no, toks in _tokenize(text):
@@ -115,7 +118,7 @@ def parse_tree(text: str) -> TrajectoryTree:
             t = _parse_int(_kv(toks[2:], "t", line_no), line_no)
             if nid in declared:
                 raise ParseError(f"duplicate node declaration {nid!r}", line_no)
-            declared[nid] = t
+            declared[nid], node_lines[nid] = t, line_no
             if t == 0:
                 if root_id is not None:
                     raise ParseError("two nodes declared at t=0", line_no)
@@ -159,11 +162,12 @@ def parse_tree(text: str) -> TrajectoryTree:
                             line_no,
                         )
                     tree.add_child(parent, inc, child)
+                    node_lines[child] = line_no
                 else:
                     poly = _parse_poly(_kv(toks[2:], "poly", line_no), line_no)
                     n0 = _parse_int(_kv(toks[2:], "n0", line_no), line_no)
                     fid = _kv(toks[2:], "id", line_no, required=False)
-                    tree.add_family(parent, poly, n0, fid)
+                    fam_lines[tree.add_family(parent, poly, n0, fid)] = line_no
             except ModelError as exc:
                 raise ParseError(str(exc), line_no) from exc
         remaining = deferred
@@ -173,13 +177,14 @@ def parse_tree(text: str) -> TrajectoryTree:
 
     for nid, t in declared.items():
         if nid not in tree.nodes:
-            raise ParseError(f"declared node {nid!r} never attached", 1)
+            raise ParseError(f"declared node {nid!r} never attached", node_lines[nid])
         if tree.nodes[nid].time != t:
-            raise ParseError(f"node {nid!r} time mismatch", 1)
+            raise ParseError(f"node {nid!r} time mismatch", node_lines[nid])
     try:
         tree.validate()
     except ModelError as exc:
-        raise ParseError(str(exc), 1) from exc
+        line = fam_lines.get(exc.fid) or node_lines.get(exc.nid, 1)
+        raise ParseError(str(exc), line) from exc
     return tree
 
 

@@ -32,12 +32,14 @@ NRange = tuple[int, Optional[int]]
 class ModelError(ValueError):
     """Invariant violation in a tree, payoff or process description.
 
-    ``fid`` names the family whose member pieces are at fault and ``entry``
-    the process entry, where the fault lies in one."""
+    ``fid`` names the family at fault (its declaration, or its member
+    pieces), ``nid`` the node and ``entry`` the process entry, where the
+    fault lies in one."""
 
-    def __init__(self, message: str, *, fid: Optional[str] = None):
+    def __init__(self, message: str, *, fid: Optional[str] = None, nid: Optional[str] = None):
         super().__init__(message)
         self.fid = fid
+        self.nid = nid
         self.entry: Optional[int] = None
 
 
@@ -195,12 +197,6 @@ class TrajectoryTree:
             stack.extend(c for _, c in self._node(cur).children)
         return sorted(out, key=lambda i: (self.nodes[i].time, i))
 
-    def terminal_classes(self) -> list[Union[str, tuple[str, None]]]:
-        """Explicit leaves plus one marker per family (whole member range)."""
-        leaves = [nd.nid for nd in self.nodes.values() if nd.is_leaf]
-        fams = [(fid, None) for fid in self.families]
-        return sorted(leaves) + sorted(fams)
-
     # -- validation ----------------------------------------------------------
     def validate(self) -> None:
         """Check every structural invariant; raise ModelError on violation."""
@@ -208,7 +204,8 @@ class TrajectoryTree:
             if nd.is_leaf and nd.time != self.horizon:
                 raise ModelError(
                     f"node {nd.nid!r} at time {nd.time} has no children but the "
-                    f"horizon is {self.horizon}"
+                    f"horizon is {self.horizon}",
+                    nid=nd.nid,
                 )
             self._check_child_distinctness(nd)
         # path consistency: value = root + sum of increments
@@ -216,14 +213,16 @@ class TrajectoryTree:
             if nd.parent is not None:
                 p = self._node(nd.parent)
                 if nd.value != p.value + nd.inc_from_parent:
-                    raise ModelError(f"value inconsistency at {nd.nid!r}")
+                    raise ModelError(f"value inconsistency at {nd.nid!r}", nid=nd.nid)
                 if nd.time != p.time + 1:
-                    raise ModelError(f"time inconsistency at {nd.nid!r}")
+                    raise ModelError(f"time inconsistency at {nd.nid!r}", nid=nd.nid)
 
     def _check_child_distinctness(self, nd: Node) -> None:
-        incs = [inc for inc, _ in nd.children]
-        if len(set(incs)) != len(incs):
-            raise ModelError(f"duplicate increment at node {nd.nid!r}")
+        incs: dict[Fraction, str] = {}
+        for inc, child in nd.children:  # a repeat is reported at the later child
+            if inc in incs:
+                raise ModelError(f"duplicate increment at node {nd.nid!r}", nid=child)
+            incs[inc] = child
         fam_objs = [self.families[f] for f in nd.families]
         for e in incs:
             for fam in fam_objs:
@@ -236,7 +235,8 @@ class TrajectoryTree:
                 if hits:
                     raise ModelError(
                         f"duplicate increment at node {nd.nid!r}: explicit {rat_str(e)} "
-                        f"collides with member n={hits[0]} of family {fam.fid!r}"
+                        f"collides with member n={hits[0]} of family {fam.fid!r}",
+                        fid=fam.fid,
                     )
         for fam in fam_objs:
             self._check_family_injective(nd, fam)
@@ -258,7 +258,8 @@ class TrajectoryTree:
             if len(hits) > 1:
                 raise ModelError(
                     f"family {fam.fid!r} at node {nd.nid!r} repeats increment "
-                    f"{rat_str(v)} at members n={hits[0]} and n={hits[1]}"
+                    f"{rat_str(v)} at members n={hits[0]} and n={hits[1]}",
+                    fid=fam.fid,
                 )
 
     def _check_family_pair(self, nd: Node, fa: Family, fb: Family) -> None:
@@ -269,7 +270,9 @@ class TrajectoryTree:
                 v = probe.increment(n)
                 diff = other.poly.shift(-v)
                 if diff.is_zero():
-                    raise ModelError(f"families {probe.fid!r} and {other.fid!r} overlap")
+                    raise ModelError(
+                        f"families {probe.fid!r} and {other.fid!r} overlap", fid=fb.fid
+                    )
                 hits = [
                     m
                     for m in root_integer_neighbors(diff.reversed_in_n(), other.n0, None)
@@ -279,7 +282,8 @@ class TrajectoryTree:
                     raise ModelError(
                         f"duplicate increment at node {nd.nid!r}: families "
                         f"{probe.fid!r} (n={n}) and {other.fid!r} (n={hits[0]}) "
-                        f"share {rat_str(v)}"
+                        f"share {rat_str(v)}",
+                        fid=fb.fid,
                     )
 
     # -- misc -----------------------------------------------------------------
@@ -329,9 +333,6 @@ class PayoffSpec:
 
     def value_at_node(self, nid: str) -> Value:
         return self.node_values[nid]
-
-    def pieces(self, fid: str) -> tuple[Piece, ...]:
-        return self.family_values[fid]
 
     def value_at_member(self, fid: str, n: int) -> Fraction:
         for lo, hi, poly in self.family_values[fid]:
@@ -511,13 +512,6 @@ class ProcessSequence:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def value_at_node(self, j: int, nid: str) -> Fraction:
-        node = self.tree.node(nid)
-        site = self.tree.ancestor_at(nid, j) if node.time >= j else None
-        if site is None:
-            raise ModelError("process value requested before the node exists")
-        return self.specs[j].node_values[site]  # type: ignore[return-value]
-
 
 # ---------------------------------------------------------------------------
 # hedges, strategies, wealth
@@ -617,17 +611,6 @@ class StoppingTime:
             if anc in self.node_marks:
                 return t
         return None
-
-    def tau_at_member(self, tree: TrajectoryTree, fid: str, n: int) -> Optional[int]:
-        fam = tree.family(fid)
-        t_par = self.tau_at_node(tree, fam.parent)
-        candidates = [
-            time
-            for (f, time, lo, hi) in self.family_marks
-            if f == fid and lo <= n and (hi is None or n <= hi)
-        ]
-        vals = [v for v in (t_par, min(candidates) if candidates else None) if v is not None]
-        return min(vals) if vals else None
 
     def member_windows(self, fid: str):
         return sorted((t, lo, hi) for (f, t, lo, hi) in self.family_marks if f == fid)
@@ -770,7 +753,7 @@ def supermartingale_transform(
                 d_birth = d.at(birth - 1, fam.parent)
                 prev = Poly.constant(f[birth - 1].node_values[fam.parent])
                 for i in range(birth - 1, j):
-                    cur = _piece_poly(f, fid, i + 1, lo, hi) if i + 1 >= birth else prev
+                    cur = _restrict_piece(f[i + 1].family_values[fid], lo, hi)
                     di = d_birth if i == birth - 1 else _member_d(d, fid, i)
                     poly = poly + (cur - prev).scale(di)
                     prev = cur
@@ -805,10 +788,6 @@ def _piece_grid(f: ProcessSequence, fid: str, j: int, birth: int) -> list[NRange
             continue
         out.append((lo, hi))
     return out
-
-
-def _piece_poly(f: ProcessSequence, fid: str, k: int, lo: int, hi: Optional[int]) -> Poly:
-    return _restrict_piece(f[k].family_values[fid], lo, hi)
 
 
 def uniform_positions(tree: TrajectoryTree, value) -> HedgeSequence:

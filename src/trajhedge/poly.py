@@ -163,10 +163,6 @@ class Poly:
         return cls(coeffs)
 
 
-POLY_ZERO = Poly()
-POLY_T = Poly([0, 1])
-
-
 # ---------------------------------------------------------------------------
 # real-root isolation (Sturm sequences)
 
@@ -331,14 +327,6 @@ class GridSummary:
         return self.min_val if self.limit is None else min(self.min_val, self.limit)
 
     @property
-    def sup_attained(self) -> bool:
-        return self.limit is None or self.max_val >= self.limit
-
-    @property
-    def inf_attained(self) -> bool:
-        return self.limit is None or self.min_val <= self.limit
-
-    @property
     def has_pos(self) -> bool:
         # limit > 0 forces members near the tail above 0 as well
         return self.max_val > 0 or (self.limit is not None and self.limit > 0)
@@ -346,10 +334,6 @@ class GridSummary:
     @property
     def has_neg(self) -> bool:
         return self.min_val < 0 or (self.limit is not None and self.limit < 0)
-
-    @property
-    def has_zero(self) -> bool:
-        return self.all_zero or bool(self.zeros)
 
 
 def _candidates(p: Poly, n_lo: int, n_hi: Optional[int]) -> list[int]:

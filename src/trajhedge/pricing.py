@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .analysis import Analysis, EventSet, IncrementSummary, analyze
 from .lp import AffinePiece, MinMaxResult, min_max_affine
@@ -414,39 +414,25 @@ def one_step_superhedge(
     analysis: Optional[Analysis] = None,
 ) -> StepResult:
     """Single-period superhedging kernel at a node (continuation values given)."""
-    analysis = analysis or analyze(tree)
-    if analysis.l_fails(nid):
-        return StepResult(
-            MINUS_INF, False, None, [], [], "continuity from below fails here"
-        )
-    problem = _build_step_problem(
-        tree, analysis, nid, child_values, family_pieces or {}
-    )
-    if not problem.fixed and not problem.groups:
-        return StepResult(MINUS_INF, False, None, [], [], "all children waived")
-    return solve_step(problem)
+    return _one_step(tree, analysis or analyze(tree), nid, child_values, family_pieces or {})[1]
 
 
-def one_step_feasible_hedge(
+def _one_step(
     tree: TrajectoryTree,
+    analysis: Analysis,
     nid: str,
     child_values: dict[str, PriceValue],
-    family_pieces: Optional[dict[str, Sequence[Piece]]],
-    target: Fraction,
-    analysis: Optional[Analysis] = None,
-) -> Optional[Fraction]:
-    """A finite position h with target + h*inc >= continuation on survivors.
-
-    Returns None exactly when no finite position exists (the one-step value
-    exceeds the target, or equals it without attainment).
-    """
-    analysis = analysis or analyze(tree)
-    problem = _build_step_problem(
-        tree, analysis, nid, child_values, family_pieces or {}
-    )
+    family_pieces: dict[str, Sequence[Piece]],
+) -> tuple[Optional[StepProblem], StepResult]:
+    """The node's step problem and its answer; no problem where continuity
+    from below fails, an empty one where every child is waived."""
+    if analysis.l_fails(nid):
+        step = StepResult(MINUS_INF, False, None, [], [], "continuity from below fails here")
+        return None, step
+    problem = _build_step_problem(tree, analysis, nid, child_values, family_pieces)
     if not problem.fixed and not problem.groups:
-        return Fraction(0)
-    return _feasible_position(problem, solve_step(problem), target)
+        return problem, StepResult(MINUS_INF, False, None, [], [], "all children waived")
+    return problem, solve_step(problem)
 
 
 def _feasible_position(
@@ -454,9 +440,12 @@ def _feasible_position(
 ) -> Optional[Fraction]:
     """A finite h with target >= value - h * slope on every constraint.
 
-    ``step`` is ``solve_step(problem)``.  None exactly when no finite
-    position exists.
+    ``step`` is the problem's answer.  An empty problem needs position 0;
+    otherwise None exactly when no finite position exists (the value exceeds
+    the target, or equals it without attainment).
     """
+    if not problem.fixed and not problem.groups:
+        return Fraction(0)
     if step.value > target:
         return None
     if step.attained:
@@ -552,7 +541,7 @@ def _sigma_pass(
         else:
             child_values = {child: ev(child).value for _, child in node.children}
             pieces = {fid: f.family_values[fid] for fid in node.families}
-            step = one_step_superhedge(tree, cur, child_values, pieces, analysis)
+            step = _one_step(tree, analysis, cur, child_values, pieces)[1]
             attained = step.attained and all(
                 ev(c).attained for c in step.tight_children
             )
@@ -614,48 +603,41 @@ def check_integrable(tree: TrajectoryTree, f: PayoffSpec, j: int = 0) -> bool:
 # supermartingale check (one-step prices against the running values)
 
 
-def one_step_price_of_next(
-    tree: TrajectoryTree, f: ProcessSequence, nid: str,
-    analysis: Optional[Analysis] = None,
-) -> StepResult:
-    analysis = analysis or analyze(tree)
-    child_values, pieces = _next_values(tree, f, nid, analysis)
-    return one_step_superhedge(tree, nid, child_values, pieces, analysis)
-
-
 def _next_values(
-    tree: TrajectoryTree, f: ProcessSequence, nid: str, analysis: Analysis
+    tree: TrajectoryTree, f: ProcessSequence, nid: str, waived: Callable[[str], bool]
 ) -> tuple[dict[str, PriceValue], dict[str, Sequence[Piece]]]:
-    """Continuation values of f_{j+1} below nid (-inf where continuity fails)."""
+    """Continuation values of f_{j+1} below nid, -inf at each waived child."""
     node = tree.node(nid)
-    j = node.time
-    child_values: dict[str, PriceValue] = {}
-    for _, child in node.children:
-        if analysis.l_fails(child):
-            child_values[child] = MINUS_INF
-        else:
-            child_values[child] = f[j + 1].node_values[child]
-    pieces = {fid: f[j + 1].family_values[fid] for fid in node.families}
-    return child_values, pieces
+    nxt = f[node.time + 1]
+    child_values: dict[str, PriceValue] = {
+        child: MINUS_INF if waived(child) else nxt.node_values[child]
+        for _, child in node.children
+    }
+    return child_values, {fid: nxt.family_values[fid] for fid in node.families}
+
+
+StepMemo = dict[str, tuple[Optional[StepProblem], StepResult]]
 
 
 def _next_step(
-    steps: dict[str, StepResult],
+    steps: StepMemo,
     tree: TrajectoryTree,
     f: ProcessSequence,
     nid: str,
     analysis: Analysis,
-) -> StepResult:
-    """one_step_price_of_next at nid, solved at most once per steps memo.
+) -> tuple[Optional[StepProblem], StepResult]:
+    """The one-step price of f_{j+1} at nid (children where continuity from
+    below fails waived), with its problem, solved at most once per memo.
 
     The memo is filled on demand, so the first request solves (and raises)
     exactly where an unshared call would.  Callers own the memo and drop it
     when their own call returns.
     """
-    step = steps.get(nid)
-    if step is None:
-        step = steps[nid] = one_step_price_of_next(tree, f, nid, analysis)
-    return step
+    entry = steps.get(nid)
+    if entry is None:
+        values, pieces = _next_values(tree, f, nid, analysis.l_fails)
+        entry = steps[nid] = _one_step(tree, analysis, nid, values, pieces)
+    return entry
 
 
 def check_supermartingale(
@@ -669,13 +651,13 @@ def _check_supermartingale(
     tree: TrajectoryTree,
     f: ProcessSequence,
     analysis: Analysis,
-    steps: dict[str, StepResult],
+    steps: StepMemo,
 ) -> tuple[bool, Optional[str]]:
     for j in range(tree.horizon):
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf or analysis.fully_covered(nd.nid):
                 continue
-            step = _next_step(steps, tree, f, nd.nid, analysis)
+            step = _next_step(steps, tree, f, nd.nid, analysis)[1]
             if step.value > f[j].node_values[nd.nid]:
                 return False, nd.nid
         # member positions: the sequence itself must not climb along survivors

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -108,6 +109,26 @@ def test_decompose_verify_round_trip(capsys, tmp_path, tree_file, process_file):
     assert rc == 0 and out.strip() == "PASS"
 
 
+FLAGSHIP_DECOMPOSITION = """\
+decomposition base=0
+deltas 1/10,1/10
+hedge t=0 at r = -4
+hedge t=1 at u = 0
+alpha t=0 at u = 0
+alpha t=0 at-family down poly=1/10,-1,4 from=1
+alpha t=1 at-family down poly=1/10 from=1
+alpha t=1 at-family uptail poly=0 from=1
+exception node u
+exception family uptail 1-inf
+"""
+
+
+def test_decompose_flagship_document(capsys, tree_file, process_file):
+    # the root's position comes from the walk out along its drift
+    rc, out, _ = run(capsys, "decompose", tree_file, process_file, "--delta", "1/10,1/10")
+    assert rc == 0 and out == FLAGSHIP_DECOMPOSITION
+
+
 def test_verify_decomp_fail_exit_code(capsys, tmp_path, tree_file, process_file):
     bad = tmp_path / "bad.txt"
     bad.write_text(
@@ -204,6 +225,18 @@ def test_runtime_imports_only_the_standard_library():
     assert done.stdout.decode().split() == []
 
 
+def test_only_pricing_builds_step_problems():
+    # one way to build a node's one-step problem: pricing._build_step_problem
+    builders = set()
+    for path in Path(trajhedge.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("StepProblem", "ScanGroup"):
+                    builders.add(path.name)
+    assert builders == {"pricing.py"}
+
+
 def test_malformed_tree_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("tree s0=1 horizon=1\nnode r t=0\nchild r inc=x -> a\n")
@@ -296,6 +329,28 @@ def test_process_fault_line(capsys, tmp_path, tree_file, at, text, line):
         capsys, "decompose", tree_file, str(bad), "--delta", "1/10,1/10"
     )
     assert rc == 2 and f"line {line}," in err and "Traceback" not in err
+
+
+BINARY = ["tree s0=0 horizon=1", "node r t=0", "child r inc=1 -> a", "child r inc=-1 -> b"]
+
+
+@pytest.mark.parametrize(
+    "lines,line,fault",
+    [
+        (BINARY + ["child r inc=1 -> c"], 5, "duplicate increment at node 'r'"),
+        (["tree s0=0 horizon=2"] + BINARY[1:] + ["child a inc=1 -> c"], 4,
+         "node 'b' at time 1 has no children"),
+        (BINARY + ["node z t=1"], 5, "declared node 'z' never attached"),
+        (BINARY + ["family r poly=0,1 n0=1"], 5, "collides with member n=1"),
+    ],
+    ids=["duplicate-increment", "early-leaf", "unattached-node", "family-collision"],
+)
+def test_tree_fault_line(capsys, tmp_path, lines, line, fault):
+    # reported at the line that introduced the node or family at fault
+    bad = tmp_path / "tree.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc, _, err = run(capsys, "analyze", str(bad))
+    assert rc == 2 and f"line {line}, col 1: " in err and fault in err, err
 
 
 def test_price_tolerance_is_accepted_and_ignored(capsys, tree_file, payoff_file):

@@ -13,8 +13,10 @@ from trajhedge.decomposition import (
     martingale_floor_check,
     verify_decomposition,
 )
+from trajhedge.analysis import analyze
 from trajhedge.model import (
     HedgeSequence,
+    ModelError,
     PayoffSpec,
     ProcessSequence,
     SimpleStrategy,
@@ -28,7 +30,14 @@ from trajhedge.model import (
 from trajhedge.pricing import check_supermartingale
 from trajhedge.poly import Poly
 
-from gen import random_arbitrage_free_tree, random_supermartingale
+from gen import (
+    random_arbitrage_free_tree,
+    random_family_tree,
+    random_h3_tree,
+    random_no_measure_tree,
+    random_supermartingale,
+)
+from reference_feasible import decomposition_feasible as reference_feasible
 
 
 def coordinate_process(tree) -> ProcessSequence:
@@ -104,9 +113,9 @@ def _generated_decomposition(seed: int):
     return tree, f, d
 
 
-def test_doob_solves_each_one_step_problem_once(monkeypatch):
+def _counting_solves(monkeypatch) -> list[int]:
+    """Count pricing.solve_step calls from now on."""
     from trajhedge import pricing
-    from trajhedge.analysis import NodeClass, analyze
 
     solve = pricing.solve_step
     calls = [0]
@@ -115,23 +124,29 @@ def test_doob_solves_each_one_step_problem_once(monkeypatch):
         calls[0] += 1
         return solve(*args, **kwargs)
 
+    monkeypatch.setattr(pricing, "solve_step", counting)
+    return calls
+
+
+def test_doob_solves_each_one_step_problem_once(monkeypatch):
     rng = random.Random(17)
     for _ in range(4):
         tree = random_arbitrage_free_tree(rng, depth=4)
         f = random_supermartingale(rng, tree)
-        analysis = analyze(tree)
-        internal = tree.internal_nodes()
-        unattained = sum(
-            1
-            for nd in internal
-            if analysis.node_class[nd.nid] is NodeClass.UP_DOWN
-            and not pricing.one_step_price_of_next(tree, f, nd.nid).attained
-        )
-        calls[0] = 0
-        monkeypatch.setattr(pricing, "solve_step", counting)
-        doob_decompose(tree, f, [Q(1, 10)] * tree.horizon)
-        monkeypatch.setattr(pricing, "solve_step", solve)
-        assert calls[0] <= len(internal) + unattained
+        with monkeypatch.context() as m:
+            calls = _counting_solves(m)
+            doob_decompose(tree, f, [Q(1, 10)] * tree.horizon)
+        assert calls[0] <= len(tree.internal_nodes())
+
+
+def test_doob_flagship_hedge_reuses_its_unattained_step(
+    monkeypatch, tree_6_2, process_6_2_b
+):
+    # the root's infimum is not attained: its hedge walks out along the drift
+    # of the step already solved for the supermartingale check
+    calls = _counting_solves(monkeypatch)
+    d = doob_decompose(tree_6_2, process_6_2_b, [Q(1, 10), Q(1, 10)])
+    assert calls[0] == 1 and d.hedge.at(0, "r") == -4
 
 
 def test_tampered_node_compensator_detected():
@@ -270,6 +285,70 @@ def test_delta_necessity_l_failure(tree_lfail, process_lfail):
         assert not feas and where == "r"
     feas, _ = decomposition_feasible(tree_lfail, process_lfail, [Q(1), Q(1, 10), Q(1, 10)])
     assert feas
+
+
+FEASIBILITY_SLACKS = [
+    lambda T: [Q(1, 10)] * T,
+    lambda T: [Q(0)] * T,
+    lambda T: [Q(-1, 4)] * T,
+    lambda T: [Q(-1, 4)] + [Q(1)] * (T - 1),
+    lambda T: [Q(1)] * (T - 1) + [Q(-1, 4)],
+]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [random_arbitrage_free_tree, random_h3_tree, random_family_tree,
+     random_no_measure_tree],
+)
+def test_feasibility_matches_hand_built_reference(make):
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(10):
+        tree = make(rng)
+        f = random_supermartingale(rng, tree)
+        for slacks in FEASIBILITY_SLACKS:
+            deltas = slacks(tree.horizon)
+            got = decomposition_feasible(tree, f, deltas)
+            assert got == reference_feasible(tree, f, deltas), deltas
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_feasibility_matches_reference_at_harvest_nodes():
+    # one-period trees whose root often has one-signed increments, so the
+    # builder's harvest rule meets the null cover; family pieces are cut
+    # short, at the plain-row limit, or left as scan groups
+    rng = random.Random(31)
+    vals = [Q(k, 2) for k in range(-4, 5)]
+    seen = set()
+    for _ in range(300):
+        t = TrajectoryTree(0, 1)
+        incs = rng.choice([[0], [0, 1], [0, 2], [1], [0, -1], [], [2]])
+        for k, inc in enumerate(incs):
+            t.add_child(t.root, inc, f"c{k}")
+        n0 = rng.choice([1, 2])
+        poly = rng.choice(["0,1,-1", "0,1", "0,-1", "0,-1,1", "1,-2", "0,0,1"])
+        t.add_family(t.root, Poly.parse(poly), n0, "f")
+        try:
+            t.validate()
+        except ModelError:  # an explicit increment equals a member's
+            continue
+        summary = analyze(t).summaries[t.root]
+        line = lambda: Poly([rng.choice(vals), rng.choice(vals)])
+        cut = rng.choice([None, n0, n0 + 70])
+        pieces = ((n0, None, line()),) if cut is None else (
+            (n0, cut, line()), (cut + 1, None, line()))
+        f = ProcessSequence(t, [
+            PayoffSpec(0, {t.root: rng.choice(vals)}),
+            PayoffSpec(1, {f"c{k}": rng.choice(vals) for k in range(len(incs))},
+                       {"f": pieces}),
+        ])
+        for deltas in ([Q(1, 10)], [Q(0)], [Q(-1, 4)], [Q(1)]):
+            got = decomposition_feasible(t, f, deltas)
+            assert got == reference_feasible(t, f, deltas), (incs, poly, deltas)
+            seen.add((summary.plus_ray or summary.minus_ray, got[0]))
+    assert len(seen) == 4  # both verdicts, with and without harvest
 
 
 def test_convergence_report_flagship(tree_6_2, process_6_2_b):

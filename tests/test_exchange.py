@@ -151,4 +151,4 @@ def test_corpus_exchange_round_count(monkeypatch):
                         monkeypatch.setattr(mod, attr, counting)
     rows = run_corpus()
     assert all(r.ok for r in rows)
-    assert counts == {"solve_step": 23, "min_max_affine": 23}
+    assert counts == {"solve_step": 22, "min_max_affine": 22}
