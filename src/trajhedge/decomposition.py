@@ -272,19 +272,25 @@ def _from_hedge(
             if nd.is_leaf:
                 continue
             h = hedge.at(j, nd.nid)
-            fj = f[j].node_values[nd.nid]
+            # alpha = (f_j + delta_j) + h * inc - f_{j+1}, one Fraction per child
+            q = f[j].node_values[nd.nid] + deltas[j]
+            qn, qd, hn, hd = q.numerator, q.denominator, h.numerator, h.denominator
             for inc, child in nd.children:
                 if child in covered:
                     alpha_nodes[child] = Fraction(0)
-                else:
-                    alpha_nodes[child] = (
-                        deltas[j] + h * inc - (f[j + 1].node_values[child] - fj)
-                    )
+                    continue
+                v = f[j + 1].node_values[child]
+                gd = hd * inc.denominator
+                alpha_nodes[child] = Fraction(
+                    (qn * gd + hn * inc.numerator * qd) * v.denominator
+                    - v.numerator * qd * gd,
+                    qd * gd * v.denominator,
+                )
             for fid in nd.families:
                 fam = tree.family(fid)
                 pieces: list[Piece] = []
                 for lo, hi, vpoly in f[j + 1].family_values[fid]:
-                    alpha_poly = fam.poly.scale(h).shift(deltas[j] + fj) - vpoly
+                    alpha_poly = fam.poly.scale(h).shift(q) - vpoly
                     pieces.extend(
                         _mask_exceptions(
                             tree, exceptions, covered, fid, lo, hi, alpha_poly
@@ -320,9 +326,9 @@ def verify_decomposition(
 ) -> tuple[bool, str]:
     """Exact check of nonnegativity, reconstruction and exception containment.
 
-    Exception coverage, hedge gains and the compensator are carried from
-    parent to child in one pass, so the check is linear in the tree size; it
-    reads only ``d`` and re-derives everything else from the tree and f.
+    Each uncovered edge is checked once, against its parent's identity, so
+    the check is linear in the tree size; it reads only ``d`` and re-derives
+    everything else from the tree and f.
     """
     analysis = analyze(tree)
     ok, why = d.exception_set.subset_of(tree, analysis.null_cover)
@@ -361,28 +367,44 @@ def verify_decomposition(
                             f"negative compensator increment on {fam.fid!r} n={n}",
                         )
 
-    # reconstruction identity, node by node and member window by window
-    gains, comp = _gains_and_compensator(tree, d, covered)
+    # reconstruction identity, edge by edge and member window by window.  Once
+    # p at time j meets f_j(p) = capital_j + gains(p) - A_j(p) (the root does,
+    # by the base check), its child c meets its own exactly when alpha_j(c)
+    # equals r = f_j(p) + delta_j + h_p * inc - f_{j+1}(c), tested as one
+    # integer identity over the product of the denominators.
+    negative: set[str] = set()  # children whose residual is negative
+    terms: dict[str, tuple[int, int, int, int]] = {}
     member_comp: dict[str, list[tuple[int, Optional[int], Poly]]] = {}
-    for i in range(tree.horizon + 1):
-        capital = d.base + sum(d.deltas[:i], Fraction(0))
+    for i in range(1, tree.horizon + 1):
+        j = i - 1
+        fj, fi, alpha = f[j].node_values, f[i].node_values, d.alphas[j].node_values
         for nd in tree.nodes_at_time(i):
             if nd.nid in covered:
                 continue
-            if f[i].node_values[nd.nid] != capital + gains[nd.nid] - comp[nd.nid]:
+            if nd.parent not in terms:  # f_j(p) + delta_j and h_p, once per parent
+                q, h = fj[nd.parent] + d.deltas[j], d.hedge.at(j, nd.parent)
+                terms[nd.parent] = (q.numerator, q.denominator, h.numerator, h.denominator)
+            qn, qd, hn, hd = terms[nd.parent]
+            inc, v, a = nd.inc_from_parent, fi[nd.nid], alpha[nd.nid]
+            gd = hd * inc.denominator
+            qgd = qd * gd  # r = num / (qgd * v.denominator), a positive denominator
+            num = (qn * gd + hn * inc.numerator * qd) * v.denominator - v.numerator * qgd
+            if num * a.denominator != a.numerator * qgd * v.denominator:
                 return False, f"reconstruction fails at {nd.nid!r} time {i}"
+            if num < 0:  # the one-step domination into c fails
+                negative.add(nd.nid)
+        # a member's identity starts from its parent P's, already checked:
+        # capital_i + gains(P) - A(P) = f_t(P) + delta_t + ... + delta_{i-1}
         for fam in tree.families_born_by(i):
             parent = tree.node(fam.parent)
             if parent.nid in covered:
                 continue
-            h = d.hedge.at(parent.time, parent.nid)
-            base_gain = fam.poly.scale(h).shift(capital + gains[parent.nid])
-            if fam.fid not in member_comp:  # i is the family's birth
-                member_comp[fam.fid] = [
-                    (fam.n0, None, Poly.constant(comp[parent.nid]))
-                ]
+            t = parent.time
+            start = f[t].node_values[parent.nid] + sum(d.deltas[t:i], Fraction(0))
+            base_gain = fam.poly.scale(d.hedge.at(t, parent.nid)).shift(start)
             a_path = member_comp[fam.fid] = _add_increments(
-                member_comp[fam.fid], d.alphas[i - 1].family_values[fam.fid]
+                member_comp.get(fam.fid, [(fam.n0, None, Poly.constant(0))]),
+                d.alphas[j].family_values[fam.fid],
             )
             for lo, hi, a_poly in a_path:
                 for w_lo, w_hi in _alive_windows(d.exception_set, covered, fam, lo, hi):
@@ -397,43 +419,12 @@ def verify_decomposition(
                             f"reconstruction fails on {fam.fid!r} "
                             f"members {w_lo}..{w_hi} time {i}",
                         )
-    # spot re-derivation of one-step domination off exceptions
-    for j in range(tree.horizon):
-        for nd in tree.nodes_at_time(j):
-            if nd.is_leaf or nd.nid in covered:
-                continue
-            h = d.hedge.at(j, nd.nid)
-            fj = f[j].node_values[nd.nid]
-            for inc, child in nd.children:
-                if child in covered:
-                    continue
-                if f[j + 1].node_values[child] > fj + d.deltas[j] + h * inc:
+    if negative:  # one-step domination off exceptions, in the order of the edges
+        for nd in tree.internal_nodes():
+            for _, child in nd.children:
+                if child in negative:
                     return False, f"one-step domination fails into {child!r}"
     return True, ""
-
-
-def _gains_and_compensator(tree, d: Decomposition, covered: set[str]):
-    """Hedge gains and compensator A_i at every uncovered node, top down.
-
-    Gains exclude the capital; a child adds its parent's position times its
-    increment, and its own compensator increment.  Covered nodes (and so
-    their whole subtrees) are skipped."""
-    gains: dict[str, Fraction] = {}
-    comp: dict[str, Fraction] = {}
-    stack = []
-    if tree.root not in covered:
-        gains[tree.root] = comp[tree.root] = Fraction(0)
-        stack.append(tree.node(tree.root))
-    while stack:
-        node = stack.pop()
-        h = d.hedge.at(node.time, node.nid)
-        for inc, child in node.children:
-            if child in covered:
-                continue
-            gains[child] = gains[node.nid] + h * inc
-            comp[child] = comp[node.nid] + d.alphas[node.time].node_values[child]
-            stack.append(tree.node(child))
-    return gains, comp
 
 
 def _alive_windows(

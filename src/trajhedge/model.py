@@ -90,6 +90,7 @@ class TrajectoryTree:
         self.families: dict[str, Family] = {}
         self._analysis_cache = None
         self._levels: Optional[dict[int, list[Node]]] = None
+        self._validated = False
 
     # -- construction -------------------------------------------------------
     def add_child(self, parent: str, inc, child_id: str) -> str:
@@ -130,6 +131,7 @@ class TrajectoryTree:
     def _touch(self):
         self._analysis_cache = None
         self._levels = None
+        self._validated = False
 
     # -- lookups -------------------------------------------------------------
     def _node(self, nid: str) -> Node:
@@ -184,10 +186,12 @@ class TrajectoryTree:
         return list(reversed(path))
 
     def ancestor_at(self, nid: str, t: int) -> str:
-        path = self.path_to(nid)
-        if t >= len(path):
+        nd = self._node(nid)
+        if not 0 <= t <= nd.time:
             raise ModelError(f"node {nid!r} has no ancestor at time {t}")
-        return path[t]
+        for _ in range(nd.time - t):
+            nd = self._node(nd.parent)
+        return nd.nid
 
     def subtree(self, nid: str) -> list[str]:
         out, stack = [], [nid]
@@ -199,7 +203,10 @@ class TrajectoryTree:
 
     # -- validation ----------------------------------------------------------
     def validate(self) -> None:
-        """Check every structural invariant; raise ModelError on violation."""
+        """Check every structural invariant; raise ModelError on violation.
+        A pass holds, and is not repeated, until the tree next grows."""
+        if self._validated:
+            return
         for nd in self.nodes.values():
             if nd.is_leaf and nd.time != self.horizon:
                 raise ModelError(
@@ -216,6 +223,7 @@ class TrajectoryTree:
                     raise ModelError(f"value inconsistency at {nd.nid!r}", nid=nd.nid)
                 if nd.time != p.time + 1:
                     raise ModelError(f"time inconsistency at {nd.nid!r}", nid=nd.nid)
+        self._validated = True
 
     def _check_child_distinctness(self, nd: Node) -> None:
         incs: dict[Fraction, str] = {}

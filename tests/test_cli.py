@@ -129,6 +129,29 @@ def test_decompose_flagship_document(capsys, tree_file, process_file):
     assert rc == 0 and out == FLAGSHIP_DECOMPOSITION
 
 
+@pytest.mark.parametrize("document, line, edited", [
+    ("decomposition", "alpha t=0 at u = 0", "alpha t=0 at u = -inf"),
+    ("decomposition", "alpha t=0 at u = 0", "alpha t=0 at u = inf"),
+    ("decomposition", "hedge t=0 at r = -4", "hedge t=0 at r = -inf"),
+    ("decomposition", "deltas 1/10,1/10", "deltas -inf,1/10"),
+    ("decomposition", "decomposition base=0", "decomposition base=inf"),
+    ("process", "at u = 0", "at u = -inf"),
+])
+def test_verify_decomp_non_rational_input_exits_2(
+    capsys, tmp_path, tree_file, process_file, document, line, edited
+):
+    # infinite entries never reach the verifier's integer identities
+    paths = {"decomposition": tmp_path / "decomp.txt", "process": tmp_path / "process.txt"}
+    paths["decomposition"].write_text(FLAGSHIP_DECOMPOSITION)
+    paths["process"].write_text(Path(process_file).read_text())
+    text = paths[document].read_text()
+    assert line + "\n" in text
+    paths[document].write_text(text.replace(line + "\n", edited + "\n", 1))
+    rc, out, err = run(capsys, "verify-decomp", tree_file, str(paths["process"]),
+                       str(paths["decomposition"]))
+    assert rc == 2 and out == "" and err.startswith("error: "), (rc, out, err)
+
+
 def test_verify_decomp_fail_exit_code(capsys, tmp_path, tree_file, process_file):
     bad = tmp_path / "bad.txt"
     bad.write_text(

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from trajhedge.decomposition import (
+    Decomposition,
     DecompositionError,
     HypothesisError,
     convergence_report,
@@ -13,8 +14,10 @@ from trajhedge.decomposition import (
     martingale_floor_check,
     verify_decomposition,
 )
-from trajhedge.analysis import analyze
+from trajhedge.analysis import FamilyAtom, NodeAtom, analyze
+from trajhedge.fileformat import parse_process, parse_tree
 from trajhedge.model import (
+    MINUS_INF,
     HedgeSequence,
     ModelError,
     PayoffSpec,
@@ -37,7 +40,9 @@ from gen import (
     random_no_measure_tree,
     random_supermartingale,
 )
+from conftest import corpus_text
 from reference_feasible import decomposition_feasible as reference_feasible
+from reference_verify import verify_decomposition as reference_verify
 
 
 def coordinate_process(tree) -> ProcessSequence:
@@ -379,3 +384,138 @@ def test_convergence_report_stopped_supermartingale():
 def test_convergence_refused_on_l_failure(tree_lfail, process_lfail):
     with pytest.raises(HypothesisError):
         convergence_report(tree_lfail, process_lfail)
+
+
+def _reference_cases():
+    """Generated decompositions on explicit, H3 and family trees, and the
+    flagship: (generator name, tree, process, decomposition)."""
+    rng = random.Random(41)
+    cases = []
+    for make in (random_arbitrage_free_tree, random_h3_tree, random_family_tree):
+        while sum(1 for c in cases if c[0] == make.__name__) < 14:
+            tree = make(rng)
+            f = random_supermartingale(rng, tree)
+            deltas = [rng.choice([Q(1, 10), Q(1, 3), Q(1)]) for _ in range(tree.horizon)]
+            try:
+                d = doob_decompose(tree, f, deltas)
+            except HypothesisError:  # a.e. continuity fails on this draw
+                continue
+            cases.append((make.__name__, tree, f, d))
+    tree = parse_tree(corpus_text("example-6-2.txt"))
+    f = parse_process(corpus_text("process-6-2-b.txt"), tree)
+    cases.append(("flagship", tree, f, doob_decompose(tree, f, [Q(1, 10), Q(1, 10)])))
+    return cases
+
+
+def _tamperings(rng, tree, d):
+    """Single edits of a decomposition, each applied to its own copy."""
+
+    def node_slot(e):
+        j = rng.choice([j for j, a in enumerate(e.alphas) if a.node_values])
+        return e.alphas[j].node_values, rng.choice(sorted(e.alphas[j].node_values))
+
+    def node_alpha(e):
+        values, nid = node_slot(e)
+        values[nid] += rng.choice([Q(1, 7), Q(-1, 7)])
+
+    def hedge(e):
+        nd = rng.choice(tree.internal_nodes())
+        e.hedge.set(nd.time, nd.nid, e.hedge.at(nd.time, nd.nid) + rng.choice([1, -1]))
+
+    def base(e):
+        e.base += rng.choice([1, -1])
+
+    def delta(e):
+        e.deltas[rng.randrange(tree.horizon)] += rng.choice([Q(1, 7), Q(-1, 7)])
+
+    def dropped_alpha(e):
+        values, nid = node_slot(e)
+        del values[nid]
+
+    def family_alpha(e):
+        slots = [(j, fid) for j, a in enumerate(e.alphas) for fid in sorted(a.family_values)]
+        if not slots:
+            return
+        j, fid = rng.choice(slots)
+        pieces = list(e.alphas[j].family_values[fid])
+        k = rng.randrange(len(pieces))
+        lo, hi, poly = pieces[k]
+        pieces[k] = (lo, hi, poly.shift(rng.choice([Q(1, 7), Q(-1, 7)])))
+        e.alphas[j].family_values[fid] = tuple(pieces)
+
+    def exception(e):
+        if tree.families and rng.random() < 0.4:
+            fid = rng.choice(sorted(tree.families))
+            n = tree.family(fid).n0 + rng.randrange(3)
+            e.exception_set.add(FamilyAtom(fid, ((n, n + rng.randrange(3)),)))
+        else:
+            e.exception_set.add(NodeAtom(rng.choice(sorted(tree.nodes))))
+
+    edits = [node_alpha, hedge, base, delta, dropped_alpha, family_alpha, exception]
+    for edit in [None] + edits:
+        e = Decomposition(
+            d.base, HedgeSequence(d.hedge.entries),
+            [PayoffSpec(a.maturity, dict(a.node_values), dict(a.family_values))
+             for a in d.alphas],
+            list(d.deltas), d.exception_set.copy(),
+        )
+        if edit is not None:
+            edit(e)
+        yield (edit.__name__ if edit else "untampered"), e
+
+
+def test_verifier_matches_fraction_reference():
+    # every verdict and message of the per-edge integer check equals the
+    # parent's running gains-and-compensator check, tampered or not
+    rng = random.Random(43)
+    cases = _reference_cases()
+    assert len(cases) >= 40
+    verdicts = set()
+    for name, tree, f, d in cases:
+        for _ in range(3):
+            for edit, e in _tamperings(rng, tree, d):
+                got = verify_decomposition(tree, f, e)
+                assert got == reference_verify(tree, f, e), (name, edit)
+                if edit == "untampered":
+                    assert got == (True, ""), (name, got)
+                verdicts.add(" ".join(got[1].split()[:3]) if not got[0] else "ok")
+    # the edits reach every phase: nullity, slacks, base, increments and
+    # the node and member identities
+    assert verdicts >= {
+        "ok", "exception set not", "slack sequence invalid",
+        "base differs from", "missing compensator increment",
+        "negative compensator increment", "reconstruction fails at",
+        "reconstruction fails on",
+    }, verdicts
+
+
+def test_alpha_from_hedge_matches_fraction_formula():
+    # alpha_j(c) = delta_j + h * inc - (f_{j+1}(c) - f_j(p)) off the exceptions
+    rng = random.Random(47)
+    for name, tree, f, d in _reference_cases():
+        hedge = HedgeSequence()
+        for nd in tree.internal_nodes():
+            hedge.set(nd.time, nd.nid, rng.choice([Q(0), Q(-1, 3), Q(5, 2), Q(-4)]))
+        for h in (d.hedge, hedge):
+            e = decomposition_from_hedge(tree, f, d.deltas, h)
+            covered = e.exception_set.covered_nodes(tree)
+            for nd in tree.internal_nodes():
+                j = nd.time
+                for inc, child in nd.children:
+                    want = Q(0) if child in covered else (
+                        d.deltas[j] + h.at(j, nd.nid) * inc
+                        - (f[j + 1].node_values[child] - f[j].node_values[nd.nid])
+                    )
+                    got = e.alphas[j].node_values[child]
+                    assert type(got) is Q and got == want, (name, child)
+            assert verify_decomposition(tree, f, e) == reference_verify(tree, f, e)
+
+
+def test_minus_infinite_increment_fails_before_the_identities():
+    tree, f, d = _generated_decomposition(5)
+    nid = next(nd.nid for nd in tree.nodes_at_time(1)
+               if not d.exception_set.covers_path(tree, nd.nid))
+    d.alphas[0].node_values[nid] = MINUS_INF
+    got = verify_decomposition(tree, f, d)
+    assert got == (False, f"negative compensator increment at {nid!r}")
+    assert got == reference_verify(tree, f, d)

@@ -63,6 +63,57 @@ def test_nodes_at_time_follows_growth():
     assert t.nodes_at_time(2) == []
 
 
+def test_parse_then_analyze_validates_once(monkeypatch):
+    # parse_tree validates; analyze finds the unchanged tree already valid
+    from trajhedge.analysis import analyze
+
+    seen = []
+    check = TrajectoryTree._check_child_distinctness
+
+    def counting(self, nd):
+        seen.append(nd.nid)
+        return check(self, nd)
+
+    monkeypatch.setattr(TrajectoryTree, "_check_child_distinctness", counting)
+    t = parse_tree(corpus_text("example-6-2.txt"))
+    analyze(t)
+    t.validate()
+    assert sorted(seen) == sorted(t.nodes)
+
+
+def test_growing_a_validated_tree_validates_again():
+    from trajhedge.analysis import analyze
+
+    t = parse_tree(corpus_text("example-6-2.txt"))
+    analyze(t)
+    t.add_child(t.root, Q(7), "early")  # a leaf at t=1 below horizon 2
+    with pytest.raises(ModelError, match="'early' at time 1 has no children"):
+        analyze(t)
+
+
+def test_ancestor_at_matches_path():
+    import random
+
+    from gen import (
+        random_arbitrage_free_tree,
+        random_family_tree,
+        random_h3_tree,
+        random_no_measure_tree,
+    )
+
+    rng = random.Random(53)
+    for make in (random_arbitrage_free_tree, random_family_tree, random_h3_tree,
+                 random_no_measure_tree):
+        for _ in range(5):
+            t = make(rng)
+            for nid, nd in t.nodes.items():
+                path = t.path_to(nid)
+                assert [t.ancestor_at(nid, k) for k in range(nd.time + 1)] == path
+                for k in (nd.time + 1, -1):
+                    with pytest.raises(ModelError, match=f"no ancestor at time {k}"):
+                        t.ancestor_at(nid, k)
+
+
 def test_duplicate_increment_rejected():
     doc = (
         "tree s0=0 horizon=1\nnode r t=0\nnode a t=1\nnode b t=1\n"

@@ -4,8 +4,22 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+from hypothesis import given, settings, strategies as st
+
 from trajhedge.analysis import NodeClass, analyze, good_nodes_by_enumeration
+from trajhedge.decomposition import doob_decompose, verify_decomposition
+from trajhedge.fileformat import (
+    parse_decomposition,
+    parse_payoff,
+    parse_process,
+    parse_tree,
+    render_decomposition,
+    render_payoff,
+    render_process,
+    render_tree,
+)
 from trajhedge.model import (
+    MINUS_INF,
     HedgeSequence,
     PayoffSpec,
     SimpleStrategy,
@@ -327,3 +341,37 @@ def test_zero_claim_prices_to_zero_exactly_where_continuity_holds():
         for nid in tree.nodes:
             expected = Q(0) if a.l_holds[nid] else float("-inf")
             assert vals[nid] == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    make=st.sampled_from([random_arbitrage_free_tree, random_h3_tree,
+                          random_family_tree, random_no_measure_tree]),
+)
+def test_documents_round_trip(seed, make):
+    # render(parse(render(x))) == render(x) for every document kind, and a
+    # parsed decomposition still verifies against the parsed model
+    rng = random.Random(seed)
+    tree = make(rng)
+    text = render_tree(tree)
+    parsed = parse_tree(text)
+    assert render_tree(parsed) == text
+
+    f = random_payoff(rng, tree, maturity=rng.randrange(tree.horizon + 1))
+    for nid in f.node_values:
+        if rng.random() < 0.2:
+            f.node_values[nid] = MINUS_INF
+    text = render_payoff(f)
+    assert render_payoff(parse_payoff(text, parsed)) == text
+
+    proc = random_supermartingale(rng, tree)
+    text = render_process(proc)
+    parsed_proc = parse_process(text, parsed)
+    assert render_process(parsed_proc) == text
+
+    deltas = [rng.choice([Q(1, 10), Q(1, 3), Q(2)]) for _ in range(tree.horizon)]
+    text = render_decomposition(doob_decompose(tree, proc, deltas))
+    d = parse_decomposition(text, parsed)
+    assert render_decomposition(d) == text
+    assert verify_decomposition(parsed, parsed_proc, d) == (True, "")
