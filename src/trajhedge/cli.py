@@ -2,6 +2,10 @@
 
 Exit status: 0 on success / PASS verdicts, 1 on FAIL verdicts, 2 on input or
 hypothesis errors.  ``--json`` mirrors every text field machine-readably.
+
+Each command imports the library modules it runs inside its own function, so
+``classify`` and ``analyze`` load no pricing, decomposition, oracle or corpus
+code.
 """
 
 from __future__ import annotations
@@ -11,13 +15,6 @@ import json
 import sys
 
 from .analysis import analyze, render_report, report_json
-from .corpus import render_corpus, run_corpus
-from .decomposition import (
-    DecompositionError,
-    HypothesisError,
-    doob_decompose,
-    verify_decomposition,
-)
 from .fileformat import (
     ParseError,
     parse_decomposition,
@@ -26,10 +23,8 @@ from .fileformat import (
     parse_tree,
     render_decomposition,
 )
-from .model import MINUS_INF, ModelError
-from .oracle import OracleError, dual_price, grid_superhedge
+from .model import MINUS_INF, QueryError
 from .poly import parse_rat, rat_str
-from .pricing import PricingError, UnconvergedError, i_bar, sigma_bar
 
 
 def _read(path: str) -> str:
@@ -38,6 +33,13 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(str(exc), 0)
+
+
+def _rational_arg(text: str, option: str):
+    try:
+        return parse_rat(text)
+    except ValueError:
+        raise ParseError(f"argument {option}: {text!r} is not a rational p or p/q", 0) from None
 
 
 def _value_text(v) -> str:
@@ -101,6 +103,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_price(args) -> int:
+    from .pricing import i_bar, sigma_bar
+
     tree = parse_tree(_read(args.tree))
     payoff = parse_payoff(_read(args.payoff), tree)
     node = args.node if args.node else tree.root
@@ -111,14 +115,19 @@ def cmd_price(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .decomposition import doob_decompose
+
     tree = parse_tree(_read(args.tree))
     proc = parse_process(_read(args.process), tree)
-    deltas = [parse_rat(part) for part in args.delta.split(",")]
+    deltas = [_rational_arg(part, "--delta") for part in args.delta.split(",")]
     d = doob_decompose(tree, proc, deltas)
     text = render_decomposition(d)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"argument -o: {exc}", 0) from None
         print(f"decomposition written to {args.output}")
     else:
         sys.stdout.write(text)
@@ -126,6 +135,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify_decomp(args) -> int:
+    from .decomposition import verify_decomposition
+
     tree = parse_tree(_read(args.tree))
     proc = parse_process(_read(args.process), tree)
     d = parse_decomposition(_read(args.decomposition), tree)
@@ -138,6 +149,9 @@ def cmd_verify_decomp(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import dual_price, grid_superhedge
+    from .pricing import sigma_bar
+
     tree = parse_tree(_read(args.tree))
     payoff = parse_payoff(_read(args.payoff), tree)
     if args.check == "dual":
@@ -158,7 +172,7 @@ def cmd_oracle(args) -> int:
             print(f"dual={rat_str(dual)} lp={_value_text(lp.value)}")
             print("PASS" if ok else "FAIL")
         return 0 if ok else 1
-    bound, step = parse_rat(args.bound), parse_rat(args.step)
+    bound, step = _rational_arg(args.bound, "--bound"), _rational_arg(args.step, "--step")
     upper, _ = grid_superhedge(tree, payoff, bound, step)
     lp = sigma_bar(tree, payoff)
     ok = lp.value == MINUS_INF or upper >= lp.value
@@ -179,6 +193,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from .corpus import render_corpus, run_corpus
+
     rows = run_corpus()
     if args.json:
         print(
@@ -223,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("payoff")
     sp.add_argument("--op", choices=("sigma", "ibar"), required=True)
     sp.add_argument("--node", default=None)
-    sp.add_argument(
-        "--tolerance", default=None, help="no effect: every price is exact"
-    )
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_price)
 
@@ -263,10 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ModelError, HypothesisError, OracleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (PricingError, DecompositionError, UnconvergedError) as exc:
+    except QueryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from .model import (
     PayoffSpec,
     Piece,
     ProcessSequence,
+    QueryError,
     SimpleStrategy,
     TrajectoryTree,
     _piece_grid,
@@ -60,7 +61,7 @@ from .pricing import (
 )
 
 
-class DecompositionError(ValueError):
+class DecompositionError(QueryError):
     pass
 
 
@@ -371,8 +372,10 @@ def verify_decomposition(
     # p at time j meets f_j(p) = capital_j + gains(p) - A_j(p) (the root does,
     # by the base check), its child c meets its own exactly when alpha_j(c)
     # equals r = f_j(p) + delta_j + h_p * inc - f_{j+1}(c), tested as one
-    # integer identity over the product of the denominators.
-    negative: set[str] = set()  # children whose residual is negative
+    # integer identity over the product of the denominators.  One-step
+    # domination into c (r >= 0) needs no test of its own: the loop above has
+    # returned on any negative alpha at an uncovered node, and this one returns
+    # unless r equals alpha.
     terms: dict[str, tuple[int, int, int, int]] = {}
     member_comp: dict[str, list[tuple[int, Optional[int], Poly]]] = {}
     for i in range(1, tree.horizon + 1):
@@ -391,8 +394,6 @@ def verify_decomposition(
             num = (qn * gd + hn * inc.numerator * qd) * v.denominator - v.numerator * qgd
             if num * a.denominator != a.numerator * qgd * v.denominator:
                 return False, f"reconstruction fails at {nd.nid!r} time {i}"
-            if num < 0:  # the one-step domination into c fails
-                negative.add(nd.nid)
         # a member's identity starts from its parent P's, already checked:
         # capital_i + gains(P) - A(P) = f_t(P) + delta_t + ... + delta_{i-1}
         for fam in tree.families_born_by(i):
@@ -419,11 +420,6 @@ def verify_decomposition(
                             f"reconstruction fails on {fam.fid!r} "
                             f"members {w_lo}..{w_hi} time {i}",
                         )
-    if negative:  # one-step domination off exceptions, in the order of the edges
-        for nd in tree.internal_nodes():
-            for _, child in nd.children:
-                if child in negative:
-                    return False, f"one-step domination fails into {child!r}"
     return True, ""
 
 

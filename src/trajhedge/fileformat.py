@@ -31,14 +31,18 @@ from .model import (
     PayoffSpec,
     Piece,
     ProcessSequence,
+    QueryError,
     TrajectoryTree,
 )
 from .poly import Poly, intersect_ranges, parse_rat, rat_str
 
 
-class ParseError(ValueError):
+class ParseError(QueryError):
+    """Malformed input at ``line_no`` of a document; line 0 stands for input
+    outside any document (an unreadable file, a command-line argument)."""
+
     def __init__(self, message: str, line_no: int, column: int = 1):
-        super().__init__(f"line {line_no}, col {column}: {message}")
+        super().__init__(f"line {line_no}, col {column}: {message}" if line_no else message)
         self.line_no = line_no
         self.column = column
 
@@ -72,6 +76,13 @@ def _family(tree: TrajectoryTree, fid: str, line_no: int):
         return tree.family(fid)
     except ModelError as exc:
         raise ParseError(str(exc), line_no) from exc
+
+
+def _known_node(tree: TrajectoryTree, nid: str, line_no: int):
+    node = tree.nodes.get(nid)
+    if node is None:
+        raise ParseError(f"unknown node id {nid!r}", line_no)
+    return node
 
 
 def _member_window(toks, fam, windows: list, line_no: int, what: str) -> None:
@@ -346,6 +357,8 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
             nid = _after(
                 toks, "at", line_no, "expected: hedge t=<int> at <node-id> = <rational>"
             )
+            if _known_node(tree, nid, line_no).time != t:
+                raise ParseError(f"hedge t={t} at {nid!r}: node not at time {t}", line_no)
             val = _parse_rat(toks[-1], line_no)
             hedge.set(t, nid, val)
         elif kind == "alpha":
@@ -360,6 +373,8 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
                 nid = _after(
                     toks, "at", line_no, "expected: alpha t=<int> at <node-id> = <rational>"
                 )
+                if _known_node(tree, nid, line_no).time != t + 1:
+                    raise ParseError(f"alpha t={t} at {nid!r}: node not at time {t + 1}", line_no)
                 slot["nodes"][nid] = _parse_rat(toks[-1], line_no)
         elif kind == "exception":
             if len(toks) >= 3 and toks[1] == "node":

@@ -29,7 +29,13 @@ Value = Union[Fraction, float]  # float only ever holds +-inf markers
 NRange = tuple[int, Optional[int]]
 
 
-class ModelError(ValueError):
+class QueryError(ValueError):
+    """A query the library refuses: malformed or inconsistent input, an
+    unverified hypothesis, or an exchange that did not close.  The CLI
+    reports every subclass with exit status 2."""
+
+
+class ModelError(QueryError):
     """Invariant violation in a tree, payoff or process description.
 
     ``fid`` names the family at fault (its declaration, or its member

@@ -18,7 +18,14 @@ from typing import Optional
 
 from .analysis import NodeClass, analyze
 from .lp import AffinePiece, minimize
-from .model import MINUS_INF, HedgeSequence, PayoffSpec, SimpleStrategy, TrajectoryTree
+from .model import (
+    MINUS_INF,
+    HedgeSequence,
+    PayoffSpec,
+    QueryError,
+    SimpleStrategy,
+    TrajectoryTree,
+)
 from .poly import rat
 from .pricing import (
     MAX_ROUNDS,
@@ -33,7 +40,7 @@ from .pricing import (
 )
 
 
-class OracleError(ValueError):
+class OracleError(QueryError):
     pass
 
 

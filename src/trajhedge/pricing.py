@@ -50,6 +50,7 @@ from .model import (
     PayoffSpec,
     Piece,
     ProcessSequence,
+    QueryError,
     SimpleStrategy,
     TrajectoryTree,
     abs_payoff,
@@ -60,7 +61,7 @@ MAX_ROUNDS = 200  # a guard on the exchange loop, never an answer (see solve_ste
 EXPAND_LIMIT = 64  # bounded member ranges up to this size become plain rows
 
 
-class PricingError(ValueError):
+class PricingError(QueryError):
     pass
 
 

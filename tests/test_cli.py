@@ -152,6 +152,13 @@ def test_verify_decomp_non_rational_input_exits_2(
     assert rc == 2 and out == "" and err.startswith("error: "), (rc, out, err)
 
 
+def test_verify_decomp_zero_slack_fails(capsys, tmp_path, tree_file, process_file):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(FLAGSHIP_DECOMPOSITION.replace("deltas 1/10,1/10", "deltas 0,1/10"))
+    rc, out, _ = run(capsys, "verify-decomp", tree_file, process_file, str(bad))
+    assert rc == 1 and out == "FAIL: slack sequence invalid\n"
+
+
 def test_verify_decomp_fail_exit_code(capsys, tmp_path, tree_file, process_file):
     bad = tmp_path / "bad.txt"
     bad.write_text(
@@ -227,6 +234,84 @@ def test_corpus_output_unchanged_under_optimize():
     optimized = _run_python("-O", "-m", "trajhedge.cli", "corpus")
     assert plain.returncode == 0 and optimized.returncode == 0
     assert plain.stdout and optimized.stdout == plain.stdout
+
+
+LOADED_MODULES = """
+import sys
+{setup}
+print(" ".join(sorted(m for m in sys.modules if m.startswith("trajhedge."))))
+"""
+
+
+def _loaded_after(setup: str) -> list:
+    """trajhedge submodules a fresh interpreter holds after running ``setup``."""
+    done = _run_python("-c", LOADED_MODULES.format(setup=setup))
+    assert done.returncode == 0, done.stderr
+    return done.stdout.decode().split()
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import trajhedge") == []
+
+
+# the package namespace, pinned: defining module -> names
+PUBLIC_NAMES = {
+    "analysis": "Analysis EventSet FamilyAtom NodeAtom NodeClass analyze assumption_l_ae "
+                "classify_node good_nodes_by_enumeration l_status null_cover render_report",
+    "decomposition": "ConvergenceReport Decomposition DecompositionError HypothesisError "
+                     "convergence_report decomposition_feasible decomposition_from_hedge "
+                     "doob_decompose martingale_floor_check verify_decomposition",
+    "fileformat": "ParseError parse_decomposition parse_payoff parse_process parse_tree "
+                  "render_decomposition render_payoff render_process render_tree",
+    "model": "HedgeSequence MINUS_INF ModelError PayoffSpec ProcessSequence SimpleStrategy "
+             "StoppingTime TrajectoryTree abs_payoff add_payoffs scale_payoff "
+             "first_time_value_geq stopped_process stopping_indicator "
+             "supermartingale_transform uniform_positions wealth wealth_on_member",
+    "oracle": "MeasureSet OracleError dual_price expectation explicit_reduction "
+              "grid_superhedge i_bar_lp martingale_measures",
+    "poly": "Poly parse_rat rat_str",
+    "pricing": "Interval PriceResult PricingError UnconvergedError check_integrable "
+               "check_supermartingale i_bar i_bar_backward i_bar_backward_all "
+               "indicator_payoff is_null norm_j one_step_superhedge sigma_bar sigma_bar_all "
+               "sigma_bar_payoff tower_check",
+}
+
+RESOLVE_NAMES = """
+import importlib, json, sys
+import trajhedge
+pinned = json.loads(sys.argv[1])
+assert sorted(trajhedge.__all__) == sorted(n for ns in pinned.values() for n in ns)
+assert set(trajhedge.__all__) <= set(dir(trajhedge))
+for module, names in pinned.items():
+    mod = importlib.import_module("trajhedge." + module)
+    for name in names:
+        assert getattr(trajhedge, name) is getattr(mod, name), name
+print(len(trajhedge.__all__))
+"""
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    pinned = {module: names.split() for module, names in PUBLIC_NAMES.items()}
+    done = _run_python("-c", RESOLVE_NAMES, json.dumps(pinned))
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().split() == ["77"]
+
+
+def test_commands_load_only_their_modules(tree_file, payoff_file):
+    run_command = (
+        "import contextlib, io\n"
+        "from trajhedge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main({argv!r}) == 0\n"
+    )
+    analyze = _loaded_after(run_command.format(argv=["analyze", tree_file]))
+    price = _loaded_after(
+        run_command.format(argv=["price", tree_file, payoff_file, "--op", "sigma"])
+    )
+    common = ["trajhedge.analysis", "trajhedge.cli", "trajhedge.fileformat",
+              "trajhedge.model", "trajhedge.poly"]
+    assert analyze == common
+    assert price == sorted(common + ["trajhedge.lp", "trajhedge.pricing"])
 
 
 STDLIB_ONLY = """
@@ -376,13 +461,12 @@ def test_tree_fault_line(capsys, tmp_path, lines, line, fault):
     assert rc == 2 and f"line {line}, col 1: " in err and fault in err, err
 
 
-def test_price_tolerance_is_accepted_and_ignored(capsys, tree_file, payoff_file):
-    for op in ("sigma", "ibar"):
-        for extra in ((), ("--json",)):
-            argv = ["price", tree_file, payoff_file, "--op", op, *extra]
-            rc, plain, _ = run(capsys, *argv)
-            rc_tol, with_tol, _ = run(capsys, *argv, "--tolerance", "1/100")
-            assert rc == rc_tol == 0 and plain == with_tol
+def test_price_tolerance_is_rejected(capsys, tree_file, payoff_file):
+    # every price is exact: there is no tolerance to set
+    with pytest.raises(SystemExit) as exit_:
+        main(["price", tree_file, payoff_file, "--op", "sigma", "--tolerance", "1/100"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("order", ["ba", "ab"])
@@ -439,6 +523,11 @@ def test_determinism(capsys, tree_file, payoff_file):
     rc2, p2, _ = run(capsys, "price", tree_file, payoff_file, "--op", "ibar", "--json")
     assert p1 == p2
 
+
+# lines appended to the flagship decomposition: entries at unknown nodes, and
+# entries at a node of another time
+STRAY_ENTRIES = ["hedge t=1 at nosuch = 5", "alpha t=0 at ghost = -3", "hedge t=0 at u = 1",
+                 "alpha t=1 at u = 5", "alpha t=0 at r = -3"]
 
 # odd tokens beside the documents' own: bad numbers, ranges and keywords
 FUZZ_EXTRA_TOKENS = ["=", "->", "x", "-", "1/0", "0/0", "inf", "-inf", "1-", "2-1",
@@ -506,3 +595,52 @@ def test_mutated_documents_never_escape(capsys, tmp_path, tree_file, payoff_file
             codes.append(rc)
     # the edits reach past the parsers: some still run to a verdict
     assert {0, 1, 2} <= set(codes)
+    lines = len(texts["decomposition"].splitlines())
+    for entry in STRAY_ENTRIES:
+        stray = tmp_path / "stray.txt"
+        stray.write_text(texts["decomposition"] + entry + "\n")
+        rc, _, err = run(capsys, "verify-decomp", tree_file, process_file, str(stray))
+        assert rc == 2 and f"line {lines + 1}, col 1: " in err, (entry, rc, err)
+
+
+# argument values: good, malformed, out of range, and paths that cannot be written
+FUZZ_RATIONALS = ["1/10", "1/4", "1", "0", "-1/10", "abc", "1/0", "", "inf", "1e3",
+                  " 2 ", "3/-4", "0x10"]
+
+
+def test_mutated_arguments_never_escape(capsys, tmp_path, tree_file, payoff_file,
+                                        process_file):
+    # every command line ends in a verdict (0 or 1) or an input error (2), never
+    # in an uncaught exception
+    explicit = tmp_path / "bin.txt"
+    explicit.write_text(
+        "tree s0=0 horizon=1\nnode r t=0\nnode a t=1\nnode b t=1\n"
+        "child r inc=1 -> a\nchild r inc=-1 -> b\n"
+    )
+    explicit_payoff = tmp_path / "f.txt"
+    explicit_payoff.write_text("payoff maturity=1\nat a = 2\nat b = 0\n")
+    outputs = [str(tmp_path / "out.txt"), str(tmp_path), str(tmp_path / "no" / "x.txt"), ""]
+    rng = random.Random(21)
+    codes = []
+    for k in range(120):
+        kind = k % 3
+        if kind == 0:
+            delta = ",".join(rng.choice(FUZZ_RATIONALS) for _ in range(rng.randint(1, 3)))
+            argv = ["decompose", tree_file, process_file, "--delta", delta]
+            argv += ["-o", rng.choice(outputs)] if rng.random() < 0.5 else []
+        elif kind == 1:
+            argv = ["oracle", str(explicit), str(explicit_payoff), "--check", "grid",
+                    "--bound", rng.choice(FUZZ_RATIONALS),
+                    "--step", rng.choice(FUZZ_RATIONALS)]
+        else:
+            argv = ["price", tree_file, payoff_file, "--op", rng.choice(["sigma", "ibar"]),
+                    "--node", rng.choice(["r", "u", "nosuch", ""])]
+        try:
+            rc, _, err = run(capsys, *argv)
+        except SystemExit as exc:  # argparse's own usage error
+            rc, err = exc.code, capsys.readouterr().err
+        except Exception as exc:  # an escape: show the command line that caused it
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert rc in (0, 1, 2) and "Traceback" not in err, (argv, rc, err)
+        codes.append(rc)
+    assert {0, 2} <= set(codes)

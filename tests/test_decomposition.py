@@ -83,6 +83,35 @@ def test_papers_own_hedge_choice_verifies(tree_6_2, process_6_2_b):
     assert ok, why
 
 
+def _two_child_martingale():
+    """The martingale 1 -> 2 | 0 on the two-child tree with inc = +-1."""
+    t = TrajectoryTree(1, 1)
+    t.add_child(t.root, 1, "a")
+    t.add_child(t.root, -1, "b")
+    f = ProcessSequence(
+        t, [PayoffSpec(0, {t.root: Q(1)}), PayoffSpec(1, {"a": Q(2), "b": Q(0)})]
+    )
+    return t, f
+
+
+def test_zero_compensator_increment_verifies():
+    # slack 1/10 and hedge 9/10 leave alpha(a) = 1 + 1/10 + 9/10 - 2 = 0
+    t, f = _two_child_martingale()
+    hedge = HedgeSequence()
+    hedge.set(0, t.root, Q(9, 10))
+    d = decomposition_from_hedge(t, f, [Q(1, 10)], hedge)
+    assert d.alphas[0].node_values == {"a": 0, "b": Q(1, 5)}
+    assert verify_decomposition(t, f, d) == (True, "")
+
+
+def test_zero_slack_fails_verification():
+    t, f = _two_child_martingale()
+    hedge = HedgeSequence()
+    hedge.set(0, t.root, Q(1))
+    d = decomposition_from_hedge(t, f, [Q(0)], hedge)
+    assert verify_decomposition(t, f, d) == (False, "slack sequence invalid")
+
+
 def test_tampered_compensator_detected(tree_6_2, process_6_2_b):
     # a negative increment, then pieces that leave members of the family
     # without any increment: a gap at n0, a gap in the middle, no tail
