@@ -181,18 +181,17 @@ def _subtract_many(runs: list[NRange], cuts: list[NRange]) -> list[NRange]:
 
 
 def _all_descendants_covered(tree: TrajectoryTree, nid: str, ev: "EventSet") -> bool:
-    node = tree.node(nid)
-    if node.is_leaf:
-        return False
-    for _, child in node.children:
-        if child in ev.node_atoms or _all_descendants_covered(tree, child, ev):
-            continue
-        return False
-    for fid in node.families:
-        fam = tree.family(fid)
-        rem = _subtract_many([(fam.n0, None)], ev.member_ranges(fid))
-        if rem:
+    """Does every path strictly below nid meet a node atom of ev, and every
+    family on the way have all its members covered?"""
+    stack = [nid]
+    while stack:
+        node = tree.node(stack.pop())
+        if node.is_leaf:
             return False
+        for fid in node.families:
+            if _subtract_many([(tree.family(fid).n0, None)], ev.member_ranges(fid)):
+                return False
+        stack.extend(child for _, child in node.children if child not in ev.node_atoms)
     return True
 
 

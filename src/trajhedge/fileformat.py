@@ -359,8 +359,9 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
             )
             if _known_node(tree, nid, line_no).time != t:
                 raise ParseError(f"hedge t={t} at {nid!r}: node not at time {t}", line_no)
-            val = _parse_rat(toks[-1], line_no)
-            hedge.set(t, nid, val)
+            if (t, nid) in hedge.entries:
+                raise ParseError(f"second hedge t={t} at {nid!r}", line_no)
+            hedge.set(t, nid, _parse_rat(toks[-1], line_no))
         elif kind == "alpha":
             t = _parse_int(_kv(toks[1:], "t", line_no), line_no)
             slot = alphas.setdefault(t, {"nodes": {}, "fams": {}})
@@ -375,19 +376,22 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
                 )
                 if _known_node(tree, nid, line_no).time != t + 1:
                     raise ParseError(f"alpha t={t} at {nid!r}: node not at time {t + 1}", line_no)
+                if nid in slot["nodes"]:
+                    raise ParseError(f"second alpha t={t} at {nid!r}", line_no)
                 slot["nodes"][nid] = _parse_rat(toks[-1], line_no)
         elif kind == "exception":
             if len(toks) >= 3 and toks[1] == "node":
-                atoms.append(NodeAtom(toks[2]))
+                atoms.append(NodeAtom(_known_node(tree, toks[2], line_no).nid))
             elif len(toks) >= 4 and toks[1] == "family":
-                fid = toks[2]
+                fid = _family(tree, toks[2], line_no).fid
                 ranges = []
                 for part in toks[3].split(","):
-                    lo, _, hi = part.partition("-")
-                    ranges.append((
-                        _parse_int(lo, line_no),
-                        None if hi in ("", "inf") else _parse_int(hi, line_no),
-                    ))
+                    lo_txt, _, hi_txt = part.partition("-")
+                    lo = _parse_int(lo_txt, line_no)
+                    hi = None if hi_txt in ("", "inf") else _parse_int(hi_txt, line_no)
+                    if hi is not None and hi < lo:
+                        raise ParseError(f"empty exception range {part!r}", line_no)
+                    ranges.append((lo, hi))
                 atoms.append(FamilyAtom(fid, tuple(ranges)))
             else:
                 raise ParseError(

@@ -62,8 +62,8 @@ def grid_superhedge(
 ) -> tuple[Fraction, dict[str, Fraction]]:
     """Upper bound on the superhedging price from positions on a grid.
 
-    Searches h in {-bound, ..., -step, 0, step, ..., bound} at every node by
-    exhaustive backward recursion; refines towards the exact price as the
+    Searches h in {-bound, ..., -step, 0, step, ..., bound} at every node,
+    level by level from the deepest up; refines towards the exact price as the
     step shrinks (Lipschitz in h with constant max |increment|).
     """
     _require_explicit(tree)
@@ -79,33 +79,30 @@ def grid_superhedge(
         ticks.append(k)
         k += step
     best_h: dict[str, Fraction] = {}
-
-    def ev(cur: str):
+    value: dict[str, Fraction] = {}
+    order = [nid]
+    for cur in order:  # grows as it is read, each node after its parent
+        if not analysis.l_fails(cur) and tree.node(cur).time < f.maturity:
+            order.extend(child for _, child in tree.node(cur).children)
+    for cur in reversed(order):
         node = tree.node(cur)
         if analysis.l_fails(cur):
-            return MINUS_INF
+            value[cur] = MINUS_INF
+            continue
         if node.time >= f.maturity:
-            return f.node_values[tree.ancestor_at(cur, f.maturity)]
-        child_vals = {child: ev(child) for _, child in node.children}
-        best = None
-        arg = Fraction(0)
-        for h in ticks:
-            worst = None
-            for inc, child in node.children:
-                v = child_vals[child]
-                if v == MINUS_INF:
-                    continue
-                r = v - h * inc
-                worst = r if worst is None else max(worst, r)
-            if worst is None:
-                return MINUS_INF
-            if best is None or worst < best:
-                best, arg = worst, h
-        best_h[cur] = arg
-        return best
+            value[cur] = f.node_values[tree.ancestor_at(cur, f.maturity)]
+            continue
+        live = [(inc, value[c]) for inc, c in node.children if value[c] != MINUS_INF]
+        if not live:
+            value[cur] = MINUS_INF
+            continue
 
-    value = ev(nid)
-    return value, best_h
+        def worst(h: Fraction) -> Fraction:
+            return max(v - h * inc for inc, v in live)
+
+        best_h[cur] = min(ticks, key=worst)
+        value[cur] = worst(best_h[cur])
+    return value[nid], best_h
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +238,23 @@ def dual_price(
     if not all(analysis.l_holds.values()):
         raise OracleError("dual pricing requires continuity at every node")
 
-    def ev(cur: str) -> Fraction:
+    value: dict[str, Fraction] = {}
+    order = [nid]
+    for cur in order:  # grows as it is read, each node after its parent
+        if tree.node(cur).time < f.maturity:
+            order.extend(child for _, child in tree.node(cur).children)
+    for cur in reversed(order):
         node = tree.node(cur)
         if node.time >= f.maturity:
-            return f.node_values[tree.ancestor_at(cur, f.maturity)]
+            value[cur] = f.node_values[tree.ancestor_at(cur, f.maturity)]
+            continue
         verts = _local_vertices(tree, cur, {c for _, c in node.children})
         if not verts:
             raise OracleError(f"no one-step measure at {cur!r}")
-        return max(
-            sum(p * ev(child) for child, p in vert.items()) for vert in verts
+        value[cur] = max(
+            sum(p * value[child] for child, p in vert.items()) for vert in verts
         )
-
-    return ev(nid)
+    return value[nid]
 
 
 # ---------------------------------------------------------------------------
@@ -391,22 +393,31 @@ def explicit_reduction(tree: TrajectoryTree, members: int = 1) -> TrajectoryTree
     """Replace each family by its first members as explicit branches."""
     out = TrajectoryTree(tree.root_value, tree.horizon, root_id=tree.root)
 
-    def copy(nid: str) -> None:
-        node = tree.node(nid)
-        for inc, child in sorted(node.children, key=lambda c: c[1]):
+    def kids(nid: str):
+        return iter(sorted(tree.node(nid).children, key=lambda c: c[1]))
+
+    # depth first: a child's whole subtree goes in before its next sibling,
+    # and a node's member branches after all of its children's
+    stack = [(tree.root, kids(tree.root))]
+    while stack:
+        nid, rest = stack[-1]
+        nxt = next(rest, None)
+        if nxt is not None:
+            inc, child = nxt
             out.add_child(nid, inc, child)
-            copy(child)
-        for fid in sorted(node.families):
+            stack.append((child, kids(child)))
+            continue
+        stack.pop()
+        for fid in sorted(tree.node(nid).families):
             fam = tree.family(fid)
             for n in range(fam.n0, fam.n0 + members):
                 mid = f"{fid}.m{n}"
                 out.add_child(nid, fam.increment(n), mid)
                 cur = mid
                 for t in range(tree.node(nid).time + 2, tree.horizon + 1):
-                    nxt = f"{mid}.c{t}"
-                    out.add_child(cur, 0, nxt)
-                    cur = nxt
+                    nxt_id = f"{mid}.c{t}"
+                    out.add_child(cur, 0, nxt_id)
+                    cur = nxt_id
 
-    copy(tree.root)
     out.validate()
     return out

@@ -425,11 +425,23 @@ def _one_step(
     child_values: dict[str, PriceValue],
     family_pieces: dict[str, Sequence[Piece]],
 ) -> tuple[Optional[StepProblem], StepResult]:
-    """The node's step problem and its answer; no problem where continuity
-    from below fails, an empty one where every child is waived."""
+    """``_step``'s problem and answer, but no problem (value -inf) where
+    continuity from below fails."""
     if analysis.l_fails(nid):
         step = StepResult(MINUS_INF, False, None, [], [], "continuity from below fails here")
         return None, step
+    return _step(tree, analysis, nid, child_values, family_pieces)
+
+
+def _step(
+    tree: TrajectoryTree,
+    analysis: Analysis,
+    nid: str,
+    child_values: dict[str, PriceValue],
+    family_pieces: dict[str, Sequence[Piece]],
+) -> tuple[StepProblem, StepResult]:
+    """The node's step problem and its answer; an empty problem (value -inf)
+    where every child is waived."""
     problem = _build_step_problem(tree, analysis, nid, child_values, family_pieces)
     if not problem.fixed and not problem.groups:
         return problem, StepResult(MINUS_INF, False, None, [], [], "all children waived")
@@ -468,7 +480,7 @@ def _feasible_position(
 
 
 # ---------------------------------------------------------------------------
-# sigma_bar: backward induction
+# the backward engine of sigma_bar and i_bar
 
 
 @dataclass(slots=True)
@@ -476,6 +488,72 @@ class _NodeEval:
     value: PriceValue
     attained: bool
     h: Optional[Fraction]
+    active: list[str]
+    note: str = ""
+
+
+def _backward(
+    tree: TrajectoryTree,
+    f: PayoffSpec,
+    analysis: Analysis,
+    starts: Sequence[str],
+    floored: bool,
+) -> dict[str, _NodeEval]:
+    """Backward induction of the one-step kernel: every node the starts reach
+    gets its own entry.  An explicit stack collects the nodes down to
+    maturity (and, unfloored, to nodes where continuity from below fails:
+    -inf), then the table fills level by level from the deepest up, so depth
+    is not bounded by recursion.  ``floored`` picks the operator's rules:
+    ``sigma_bar`` takes the payoff at maturity, the step's value, and its
+    position, attained when the step and every tight child are; ``i_bar``
+    waives a bad site's payoff (its future is harvestable), floors the value
+    at zero (the least entering wealth of a nonnegative aggregate) and, where
+    the step can move wealth (a nonzero slope or a scan group), keeps a
+    position covering the step from that value, attained when one exists."""
+    f.validate(tree)
+    if floored and not f.is_nonnegative(tree):
+        raise PricingError("the null operator applies to nonnegative payoffs")
+    table: dict[str, _NodeEval] = {}
+    levels: list[list[Node]] = [[] for _ in range(tree.horizon + 1)]
+    seen: set[str] = set()
+    stack = list(starts)
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        node = tree.node(nid)
+        if not floored and analysis.l_fails(nid):
+            table[nid] = _NodeEval(MINUS_INF, False, None, [], "continuity from below fails")
+        elif node.time >= f.maturity:
+            site = tree.ancestor_at(nid, f.maturity)
+            v = f.node_values[site]
+            if not floored:
+                table[nid] = _NodeEval(v, v != MINUS_INF, Fraction(0), [f"payoff:{site}"])
+            elif analysis.good[nid]:
+                table[nid] = _NodeEval(v, True, None, [f"payoff:{site}"])
+            else:
+                table[nid] = _NodeEval(Fraction(0), True, None, [])
+        else:
+            levels[node.time].append(node)
+            stack.extend(child for _, child in node.children)
+
+    for level in reversed(levels):
+        for node in level:
+            child_values = {child: table[child].value for _, child in node.children}
+            pieces = {fid: f.family_values[fid] for fid in node.families}
+            problem, step = _step(tree, analysis, node.nid, child_values, pieces)
+            value, h = step.value, step.h
+            if not floored:
+                attained = step.attained and all(table[c].attained for c in step.tight_children)
+            else:
+                value, h, attained = value if value > 0 else Fraction(0), None, True
+                if problem.groups or any(p.slope != 0 for p in problem.fixed):
+                    # aim at the floored value, never below the step value
+                    h = _feasible_position(problem, step, value)
+                    attained = h is not None
+            table[node.nid] = _NodeEval(value, attained, h, step.active, step.note)
+    return table
 
 
 def sigma_bar(
@@ -485,11 +563,11 @@ def sigma_bar(
 ) -> PriceResult:
     """Conditional superhedging price of f at a node (default: the root)."""
     nid = nid if nid is not None else tree.root
-    memo, active, note = _sigma_pass(tree, f, [nid])
-    top = memo[nid]
+    table = _backward(tree, f, analyze(tree), [nid], floored=False)
+    top = table[nid]
     hedge = HedgeSequence()
     for sub in tree.subtree(nid):
-        e = memo.get(sub)
+        e = table.get(sub)
         if e is not None and e.h is not None and not tree.node(sub).is_leaf:
             if tree.node(sub).time < f.maturity:
                 hedge.set(tree.node(sub).time, sub, e.h)
@@ -498,71 +576,25 @@ def sigma_bar(
         strategy = SimpleStrategy(
             top.value, hedge, start_time=tree.node(nid).time, start_node=nid
         )
-    return PriceResult(top.value, top.attained, strategy, active, note)
+    return PriceResult(top.value, top.attained, strategy, top.active, top.note)
 
 
 def sigma_bar_all(
     tree: TrajectoryTree,
     f: PayoffSpec,
 ) -> dict[str, PriceValue]:
-    """Conditional outer price of f at every node, in one shared recursion."""
-    order = [nd.nid for nd in sorted(tree.nodes.values(), key=lambda n: -n.time)]
-    memo = _sigma_pass(tree, f, order)[0]
-    return {nid: e.value for nid, e in memo.items()}
-
-
-def _sigma_pass(
-    tree: TrajectoryTree,
-    f: PayoffSpec,
-    starts: Sequence[str],
-) -> tuple[dict[str, _NodeEval], list[str], str]:
-    """Backward induction of the one-step kernel from each start node in turn.
-
-    Returns value, attained flag and position for every node evaluated, plus
-    the active labels and note of the node evaluated last (with a single
-    start node, that node's)."""
-    analysis = analyze(tree)
-    f.validate(tree)
-    memo: dict[str, _NodeEval] = {}
-    last: tuple[list[str], str] = ([], "")
-
-    def ev(cur: str) -> _NodeEval:
-        nonlocal last
-        if cur in memo:
-            return memo[cur]
-        node = tree.node(cur)
-        if analysis.l_fails(cur):
-            out = _NodeEval(MINUS_INF, False, None)
-            last = ([], "continuity from below fails")
-        elif node.time >= f.maturity:
-            site = tree.ancestor_at(cur, f.maturity)
-            v = f.node_values[site]
-            out = _NodeEval(v, v != MINUS_INF, Fraction(0))
-            last = ([f"payoff:{site}"], "")
-        else:
-            child_values = {child: ev(child).value for _, child in node.children}
-            pieces = {fid: f.family_values[fid] for fid in node.families}
-            step = _one_step(tree, analysis, cur, child_values, pieces)[1]
-            attained = step.attained and all(
-                ev(c).attained for c in step.tight_children
-            )
-            out = _NodeEval(step.value, attained, step.h)
-            last = (step.active, step.note)
-        memo[cur] = out
-        return out
-
-    for start in starts:
-        ev(start)
-    return memo, *last
+    """Conditional outer price of f at every node, in one backward pass."""
+    table = _backward(tree, f, analyze(tree), list(tree.nodes), floored=False)
+    return {nid: e.value for nid, e in table.items()}
 
 
 def sigma_bar_payoff(tree: TrajectoryTree, f: PayoffSpec, at_time: int) -> PayoffSpec:
     """sigma_bar_k f as a maturity-k payoff (values -inf where continuity fails)."""
     if at_time > f.maturity:
         raise PricingError("evaluation time after maturity")
-    node_values: dict[str, PriceValue] = {
-        nd.nid: sigma_bar(tree, f, nd.nid).value for nd in tree.nodes_at_time(at_time)
-    }
+    starts = [nd.nid for nd in tree.nodes_at_time(at_time)]
+    table = _backward(tree, f, analyze(tree), starts, floored=False)
+    node_values: dict[str, PriceValue] = {nid: table[nid].value for nid in starts}
     fam_values = {}
     for fam in tree.families_born_by(at_time):
         fam_values[fam.fid] = f.family_values[fam.fid]
@@ -713,19 +745,19 @@ def i_bar(
     non-harvested children, and exists when every position it needs does."""
     nid = nid if nid is not None else tree.root
     analysis = analyze(tree)
-    memo, active = _i_bar_pass(tree, f, analysis, [nid])
+    table = _backward(tree, f, analysis, [nid], floored=True)
     start = tree.node(nid)
-    value = memo[nid].value
+    top = table[nid]
     if start.time > f.maturity:
         # the claim is a constant here; it is harvested for free from bad nodes
         note = "" if analysis.good[nid] else "bad node: free harvest"
-        return PriceResult(value, True, None, active, note)
+        return PriceResult(top.value, True, None, top.active, note)
     hedge, attained, stack = HedgeSequence(), True, [nid]
     while stack:
         node = tree.node(stack.pop())
         if node.time >= f.maturity:
             continue
-        e = memo[node.nid]
+        e = table[node.nid]
         attained = attained and e.attained
         if e.h is not None:
             hedge.set(node.time, node.nid, e.h)
@@ -733,9 +765,9 @@ def i_bar(
         stack.extend(child for inc, child in node.children if not _harvested(s, inc))
     strategy = None
     if attained:
-        strategy = SimpleStrategy(value, hedge, start_time=start.time, start_node=nid)
+        strategy = SimpleStrategy(top.value, hedge, start_time=start.time, start_node=nid)
     note = "model value (aggregated nonnegative-strategy program)"
-    return PriceResult(value, attained, strategy, active, note)
+    return PriceResult(top.value, attained, strategy, top.active, note)
 
 
 def i_bar_backward(
@@ -745,69 +777,16 @@ def i_bar_backward(
 ) -> PriceValue:
     """Null-operator value alone, from the same backward pass as ``i_bar``."""
     nid = nid if nid is not None else tree.root
-    return _i_bar_pass(tree, f, analyze(tree), [nid])[0][nid].value
+    return _backward(tree, f, analyze(tree), [nid], floored=True)[nid].value
 
 
 def i_bar_backward_all(
     tree: TrajectoryTree,
     f: PayoffSpec,
 ) -> dict[str, PriceValue]:
-    """Null-operator value at every node, in one shared recursion."""
-    order = [nd.nid for nd in sorted(tree.nodes.values(), key=lambda n: -n.time)]
-    memo = _i_bar_pass(tree, f, analyze(tree), order)[0]
-    return {nid: e.value for nid, e in memo.items()}
-
-
-def _i_bar_pass(
-    tree: TrajectoryTree,
-    f: PayoffSpec,
-    analysis: Analysis,
-    starts: Sequence[str],
-) -> tuple[dict[str, _NodeEval], list[str]]:
-    """Backward induction of the one-step kernel, floored at zero.
-
-    A node's value is the least entering wealth from which a nonnegative
-    aggregate covers the claim.  Where the step can move wealth (a nonzero
-    slope or a scan group) the node keeps a position covering its children
-    and members from that value; attained says one was found.  Also returns
-    the active labels of the node evaluated last."""
-    f.validate(tree)
-    if not f.is_nonnegative(tree):
-        raise PricingError("the null operator applies to nonnegative payoffs")
-    memo: dict[str, _NodeEval] = {}
-    active: list[str] = []
-
-    def ev(cur: str) -> _NodeEval:
-        nonlocal active
-        if cur in memo:
-            return memo[cur]
-        node = tree.node(cur)
-        if node.time >= f.maturity:
-            # a bad site's whole future is harvestable: its claim is waived
-            site = tree.ancestor_at(cur, f.maturity)
-            good = analysis.good[cur]
-            out = _NodeEval(f.node_values[site] if good else Fraction(0), True, None)
-            active = [f"payoff:{site}"] if good else []
-        else:
-            child_values = {child: ev(child).value for _, child in node.children}
-            pieces = {fid: f.family_values[fid] for fid in node.families}
-            problem = _build_step_problem(tree, analysis, cur, child_values, pieces)
-            if not problem.fixed and not problem.groups:
-                out, active = _NodeEval(Fraction(0), True, None), []
-            else:
-                step = solve_step(problem)
-                value = step.value if step.value > 0 else Fraction(0)
-                out, active = _NodeEval(value, True, None), step.active
-                if problem.groups or any(p.slope != 0 for p in problem.fixed):
-                    # aim at the floored value, never below the step value
-                    h = _feasible_position(problem, step, value)
-                    out = _NodeEval(value, h is not None, h)
-        memo[cur] = out
-        return out
-
-    for start in starts:
-        ev(start)
-    return memo, active
+    """Null-operator value at every node, in one backward pass."""
+    table = _backward(tree, f, analyze(tree), list(tree.nodes), floored=True)
+    return {nid: e.value for nid, e in table.items()}
 
 
 def norm_j(

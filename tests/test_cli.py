@@ -213,6 +213,59 @@ def test_oracle_dual(capsys, tmp_path):
     assert rc == 0 and "PASS" in out
 
 
+DEEP = 1000  # past Python's default recursion limit
+
+
+@pytest.fixture(scope="module")
+def deep_chain(tmp_path_factory):
+    """Documents of a horizon-1000 chain of zero increments, alone and with a
+    family at every node: trees, payoffs and a constant process."""
+    d = tmp_path_factory.mktemp("deep")
+    ids = [f"c{k}" for k in range(DEEP + 1)]
+    tree = [f"tree s0=1 horizon={DEEP}"] + [f"node {n} t={k}" for k, n in enumerate(ids)]
+    tree += [f"child {a} inc=0 -> {b}" for a, b in zip(ids, ids[1:])]
+    payoff = [f"payoff maturity={DEEP}", f"at {ids[-1]} = 3"]
+    docs = {
+        "chain": tree,
+        "chain-payoff": payoff,
+        "family-chain": tree + [f"family {n} poly=0,1 n0=1 id=f{k}"
+                                for k, n in enumerate(ids[:-1])],
+        "family-chain-payoff": payoff + [f"at-family f{k} poly=1" for k in range(DEEP)],
+        "process": [f"process horizon={DEEP}"] + [
+            line for k, n in enumerate(ids) for line in (f"payoff maturity={k}", f"at {n} = 2")
+        ],
+    }
+    for name, lines in docs.items():
+        (d / f"{name}.txt").write_text("\n".join(lines) + "\n")
+    return d
+
+
+@pytest.mark.parametrize("chain", ["chain", "family-chain"])
+@pytest.mark.parametrize("op", ["sigma", "ibar"])
+def test_price_on_a_deep_chain(capsys, deep_chain, chain, op):
+    rc, out, _ = run(capsys, "price", str(deep_chain / f"{chain}.txt"),
+                     str(deep_chain / f"{chain}-payoff.txt"), "--op", op)
+    assert rc == 0 and out.startswith("3 (attained)"), out
+
+
+@pytest.mark.parametrize("check", ["dual", "grid"])
+def test_oracle_on_a_deep_chain(capsys, deep_chain, check):
+    rc, out, _ = run(capsys, "oracle", str(deep_chain / "chain.txt"),
+                     str(deep_chain / "chain-payoff.txt"), "--check", check,
+                     "--bound", "1", "--step", "1/2")
+    assert rc == 0 and "PASS" in out, out
+
+
+def test_decompose_and_verify_a_deep_chain(capsys, deep_chain, tmp_path):
+    chain, process = str(deep_chain / "chain.txt"), str(deep_chain / "process.txt")
+    decomposition = str(tmp_path / "decomposition.txt")
+    rc, _, err = run(capsys, "decompose", chain, process, "--delta",
+                     ",".join(["1/10"] * DEEP), "-o", decomposition)
+    assert rc == 0, err
+    rc, out, _ = run(capsys, "verify-decomp", chain, process, decomposition)
+    assert (rc, out) == (0, "PASS\n")
+
+
 def test_corpus_runs_clean(capsys):
     rc, out, _ = run(capsys, "corpus")
     assert rc == 0
@@ -527,7 +580,9 @@ def test_determinism(capsys, tree_file, payoff_file):
 # lines appended to the flagship decomposition: entries at unknown nodes, and
 # entries at a node of another time
 STRAY_ENTRIES = ["hedge t=1 at nosuch = 5", "alpha t=0 at ghost = -3", "hedge t=0 at u = 1",
-                 "alpha t=1 at u = 5", "alpha t=0 at r = -3"]
+                 "alpha t=1 at u = 5", "alpha t=0 at r = -3", "hedge t=0 at r = 1",
+                 "alpha t=0 at u = 2", "exception node ghost", "exception family ghost 1-inf",
+                 "exception family down 5-3"]
 
 # odd tokens beside the documents' own: bad numbers, ranges and keywords
 FUZZ_EXTRA_TOKENS = ["=", "->", "x", "-", "1/0", "0/0", "inf", "-inf", "1-", "2-1",

@@ -4,27 +4,32 @@ from fractions import Fraction as Q
 import pytest
 
 from trajhedge.analysis import EventSet, FamilyAtom, NodeAtom, NodeClass, analyze
-from trajhedge.fileformat import parse_payoff
+from trajhedge.fileformat import parse_payoff, parse_tree
 from trajhedge.lp import AffinePiece, min_max_affine, minimize
 from trajhedge.model import MINUS_INF, PayoffSpec, TrajectoryTree, wealth, wealth_on_member
 from trajhedge.poly import Poly
 from trajhedge.pricing import (
     EXPAND_LIMIT,
+    _backward,
     check_integrable,
     check_supermartingale,
     i_bar,
     i_bar_backward,
+    i_bar_backward_all,
     indicator_payoff,
     is_null,
     norm_j,
     one_step_superhedge,
     sigma_bar,
+    sigma_bar_all,
     sigma_bar_payoff,
     tower_check,
 )
 
 from conftest import corpus_text
-from gen import random_arbitrage_free_tree, random_payoff
+from gen import random_arbitrage_free_tree, random_family_tree, random_h3_tree, random_payoff
+from reference_pass import _i_bar_pass as reference_i_bar_pass
+from reference_pass import _sigma_pass as reference_sigma_pass
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +299,87 @@ def test_expand_limit_boundary_at_killed_ray_node(members):
     assert r.hedge.initial_capital == want
     assert not r.hedge.hedge.items()  # no move is left to hedge
     assert i_bar_backward(t, f) == want
+
+
+# ---------------------------------------------------------------------------
+# the backward engine against the two recursive passes it replaced
+
+
+def _outcome(run):
+    """The call's result, or the type of the exception it raised (a level
+    loop may meet a different failing node first than a depth-first pass)."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc)
+
+
+def _entries(table):
+    return {nid: (e.value, e.attained, e.h) for nid, e in table.items()}
+
+
+# the flagship model one period down, beside a flat branch: the root's step
+# is attained, but its tight child a is not
+NESTED_DRIFT = """tree s0=1 horizon=3
+node r t=0
+node a t=1
+node b t=1
+node u t=2
+node b2 t=2
+node b3 t=3
+child r inc=1 -> a
+child r inc=-1 -> b
+child a inc=1 -> u
+child b inc=0 -> b2
+child b2 inc=0 -> b3
+family a poly=0,0,-1 n0=1 id=down
+family u poly=0,1 n0=1 id=uptail
+"""
+
+
+def test_backward_engine_matches_the_recursive_passes(tree_6_2, payoff_6_2_f,
+                                                      tree_lfail, payoff_lfail_f1):
+    rng = random.Random(18)
+    makers = [random_arbitrage_free_tree, random_h3_tree, random_family_tree]
+    nested = parse_tree(NESTED_DRIFT)
+    nested_f = parse_payoff("payoff maturity=2\nat u = 0\nat b2 = 1\n"
+                            "at-family down poly=0,1\n", nested)
+    assert sigma_bar(nested, nested_f).attained is False
+    cases = [(tree_6_2, payoff_6_2_f), (tree_lfail, payoff_lfail_f1), (nested, nested_f)]
+    for k in range(18):
+        t = makers[k % 3](rng)
+        for maturity in range(t.horizon + 1):
+            cases.append((t, random_payoff(rng, t, maturity, nonneg=rng.random() < 0.7)))
+    seen = set()
+    for t, f in cases:
+        analysis = analyze(t)
+        nodes = list(t.nodes)
+        starts = [t.root] + rng.sample(nodes, min(3, len(nodes)))
+        for nid in starts:
+            old = _outcome(lambda: reference_sigma_pass(t, f, [nid]))
+            new = _outcome(lambda: _backward(t, f, analysis, [nid], floored=False))
+            if isinstance(old, tuple):
+                memo, active, note = old
+                assert _entries(new) == _entries(memo), (f, nid)
+                assert (new[nid].active, new[nid].note) == (active, note), (f, nid)
+            else:
+                assert new is old, (f, nid)
+            old = _outcome(lambda: reference_i_bar_pass(t, f, analysis, [nid]))
+            new = _outcome(lambda: _backward(t, f, analysis, [nid], floored=True))
+            if isinstance(old, tuple):
+                memo, active = old
+                assert _entries(new) == _entries(memo), (f, nid)
+                assert new[nid].active == active, (f, nid)
+            else:
+                assert new is old, (f, nid)
+            seen.add((isinstance(old, tuple), bool(t.families)))
+        order = [nd.nid for nd in sorted(t.nodes.values(), key=lambda n: -n.time)]
+        old = _outcome(lambda: reference_sigma_pass(t, f, order)[0])
+        assert _outcome(lambda: sigma_bar_all(t, f)) == (
+            old if isinstance(old, type) else {n: e.value for n, e in old.items()})
+        old = _outcome(lambda: reference_i_bar_pass(t, f, analysis, order)[0])
+        assert _outcome(lambda: i_bar_backward_all(t, f)) == (
+            old if isinstance(old, type) else {n: e.value for n, e in old.items()})
+    # explicit and family trees, priced and refused (a negative payoff has no
+    # null-operator value)
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
