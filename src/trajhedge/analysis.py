@@ -112,6 +112,22 @@ class EventSet:
             stack.extend((child, hit) for _, child in tree.node(nid).children)
         return out
 
+    def fully_covered_nodes(self, tree: TrajectoryTree) -> set[str]:
+        """Every explicit node whose path is covered, or below which every
+        path meets a node atom and every family on the way has all its
+        members covered; decided bottom-up in one pass over the levels."""
+        out = self.covered_nodes(tree)
+        for t in range(tree.horizon - 1, -1, -1):
+            for nd in tree.nodes_at_time(t):
+                if nd.nid in out or nd.is_leaf:
+                    continue
+                if all(child in out for _, child in nd.children) and not any(
+                    _subtract_many([(tree.family(fid).n0, None)], self.member_ranges(fid))
+                    for fid in nd.families
+                ):
+                    out.add(nd.nid)
+        return out
+
     def covers_member(self, tree: TrajectoryTree, fid: str, n: int) -> bool:
         fam = tree.family(fid)
         if self.covers_path(tree, fam.parent):
@@ -141,11 +157,13 @@ class EventSet:
 
     def subset_of(self, tree: TrajectoryTree, other: "EventSet") -> tuple[bool, str]:
         """Atom-wise containment check (sufficient, exact on this model class)."""
+        full: Optional[set[str]] = None  # built only when a path is not covered
         for nid in self.node_atoms:
-            if not other.covers_path(tree, nid) and not _all_descendants_covered(
-                tree, nid, other
-            ):
-                return False, f"node cylinder {nid!r} escapes the target set"
+            if not other.covers_path(tree, nid):
+                if full is None:
+                    full = other.fully_covered_nodes(tree)
+                if nid not in full:
+                    return False, f"node cylinder {nid!r} escapes the target set"
         for fid, ranges in self.family_atoms.items():
             fam = tree.family(fid)
             if other.covers_path(tree, fam.parent):
@@ -178,21 +196,6 @@ def _subtract_many(runs: list[NRange], cuts: list[NRange]) -> list[NRange]:
     for lo, hi in cuts:
         runs = _subtract_range(runs, lo, hi)
     return runs
-
-
-def _all_descendants_covered(tree: TrajectoryTree, nid: str, ev: "EventSet") -> bool:
-    """Does every path strictly below nid meet a node atom of ev, and every
-    family on the way have all its members covered?"""
-    stack = [nid]
-    while stack:
-        node = tree.node(stack.pop())
-        if node.is_leaf:
-            return False
-        for fid in node.families:
-            if _subtract_many([(tree.family(fid).n0, None)], ev.member_ranges(fid)):
-                return False
-        stack.extend(child for _, child in node.children if child not in ev.node_atoms)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +288,7 @@ class Analysis:
     l_holds: dict[str, bool]
     good: dict[str, bool]
     null_cover: EventSet
+    _fully_covered: set[str]  # the null cover's fully_covered_nodes
     h1: Verdict
     h2: Verdict
     h3: Verdict
@@ -307,9 +311,7 @@ class Analysis:
         return "direct-computation"
 
     def fully_covered(self, nid: str) -> bool:
-        if self.null_cover.covers_path(self.tree, nid):
-            return True
-        return _all_descendants_covered(self.tree, nid, self.null_cover)
+        return nid in self._fully_covered
 
     def alive_member_ranges(self, fid: str) -> list[NRange]:
         return self.null_cover.uncovered_member_ranges(self.tree, fid)
@@ -333,7 +335,7 @@ def analyze(tree: TrajectoryTree) -> Analysis:
     cover = _null_cover(tree, node_class, summaries)
 
     analysis = Analysis(
-        tree, summaries, node_class, l_holds, good, cover,
+        tree, summaries, node_class, l_holds, good, cover, cover.fully_covered_nodes(tree),
         h1=Verdict(True), h2=Verdict(True), h3=Verdict(True),
         h4=Verdict(True), h5=Verdict(True), l_ae=Verdict(True),
     )

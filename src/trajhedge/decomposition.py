@@ -50,14 +50,13 @@ from .pricing import (
     MINUS_INF,
     PricingError,
     StepMemo,
-    _build_step_problem,
     _check_supermartingale,
     _feasible_position,
     _member_diff,
     _next_step,
     _next_values,
+    _step,
     check_supermartingale,
-    solve_step,
 )
 
 
@@ -470,11 +469,8 @@ def decomposition_feasible(
                 continue
             target = f[j].node_values[nd.nid] + deltas[j]
             values, pieces = _next_values(tree, f, nd.nid, analysis.fully_covered)
-            problem = _build_step_problem(tree, analysis, nd.nid, values, pieces)
-            if not problem.fixed and not problem.groups:
-                continue
-            step = solve_step(problem)
-            # a -inf one-step value needs no position at all
+            problem, step = _step(tree, analysis, nd.nid, values, pieces)
+            # a -inf one-step value (every child waived, too) needs no position
             if step.value != MINUS_INF and _feasible_position(problem, step, target) is None:
                 return False, nd.nid
         for fam in tree.families_born_by(j):

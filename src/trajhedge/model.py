@@ -240,12 +240,7 @@ class TrajectoryTree:
         fam_objs = [self.families[f] for f in nd.families]
         for e in incs:
             for fam in fam_objs:
-                diff = fam.poly.shift(-e)
-                hits = [
-                    n
-                    for n in root_integer_neighbors(diff.reversed_in_n(), fam.n0, None)
-                    if fam.increment(n) == e
-                ]
+                hits = _members_at(fam, e)
                 if hits:
                     raise ModelError(
                         f"duplicate increment at node {nd.nid!r}: explicit {rat_str(e)} "
@@ -263,12 +258,7 @@ class TrajectoryTree:
         probe = sorted({s.max_arg, s.min_arg, fam.n0, *s.zeros})
         for n in probe:
             v = fam.increment(n)
-            diff = fam.poly.shift(-v)
-            hits = [
-                m
-                for m in root_integer_neighbors(diff.reversed_in_n(), fam.n0, None)
-                if fam.increment(m) == v
-            ]
+            hits = _members_at(fam, v)
             if len(hits) > 1:
                 raise ModelError(
                     f"family {fam.fid!r} at node {nd.nid!r} repeats increment "
@@ -278,20 +268,12 @@ class TrajectoryTree:
 
     def _check_family_pair(self, nd: Node, fa: Family, fb: Family) -> None:
         # bounded collision probe of each family's first members against the
-        # other; exotic overlapping families are rejected lazily
+        # other; exotic overlapping families are rejected lazily.  add_family
+        # rejects constant polynomials, so no shift of one is identically zero
         for probe, other in ((fa, fb), (fb, fa)):
             for n in range(probe.n0, probe.n0 + 24):
                 v = probe.increment(n)
-                diff = other.poly.shift(-v)
-                if diff.is_zero():
-                    raise ModelError(
-                        f"families {probe.fid!r} and {other.fid!r} overlap", fid=fb.fid
-                    )
-                hits = [
-                    m
-                    for m in root_integer_neighbors(diff.reversed_in_n(), other.n0, None)
-                    if other.increment(m) == v
-                ]
+                hits = _members_at(other, v)
                 if hits:
                     raise ModelError(
                         f"duplicate increment at node {nd.nid!r}: families "
@@ -312,6 +294,16 @@ class TrajectoryTree:
         return all(
             nd.time <= self.horizon for nd in self.nodes.values()
         )
+
+
+def _members_at(fam: Family, v: Fraction) -> list[int]:
+    """The members of fam whose increment is exactly v, in increasing order."""
+    diff = fam.poly.shift(-v)
+    return [
+        n
+        for n in root_integer_neighbors(diff.reversed_in_n(), fam.n0, None)
+        if fam.increment(n) == v
+    ]
 
 
 # ---------------------------------------------------------------------------

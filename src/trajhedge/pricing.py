@@ -58,7 +58,6 @@ from .model import (
 from .poly import Poly, grid_member_above, grid_summary, intersect_ranges, rat_str
 
 MAX_ROUNDS = 200  # a guard on the exchange loop, never an answer (see solve_step)
-EXPAND_LIMIT = 64  # bounded member ranges up to this size become plain rows
 
 
 class PricingError(QueryError):
@@ -128,11 +127,13 @@ class ScanGroup:
         )
 
     def seed_pieces(self) -> list[AffinePiece]:
-        """The exchange loop's opening members: the limit and the first four."""
-        seeds = [self.limit_piece()] if self.n_hi is None else []
-        top = self.n_lo + 3 if self.n_hi is None else min(self.n_lo + 3, self.n_hi)
-        seeds.extend(self.piece_at(n) for n in range(self.n_lo, top + 1))
-        return seeds
+        """The exchange's opening members: the first four, with the limit of
+        an unbounded window or the last member of a bounded one."""
+        if self.n_hi is None:
+            head = range(self.n_lo, self.n_lo + 4)
+            return [self.limit_piece(), *(self.piece_at(n) for n in head)]
+        ns = sorted({*range(self.n_lo, min(self.n_lo + 3, self.n_hi) + 1), self.n_hi})
+        return [self.piece_at(n) for n in ns]
 
 
 @dataclass
@@ -187,8 +188,8 @@ def _family_constraints(
     """Member constraints of a node's families, as plain pieces and scan groups.
 
     At a harvest node every moving member is a harvested cylinder, so only
-    the zero-increment members constrain; elsewhere member ranges of at most
-    EXPAND_LIMIT become plain pieces and the rest stay scan groups."""
+    the zero-increment members constrain, as plain pieces; elsewhere each
+    member range is a scan group."""
     fixed: list[AffinePiece] = []
     groups: list[ScanGroup] = []
     for fid in sorted(node.families):
@@ -208,11 +209,7 @@ def _family_constraints(
                     if n >= g.n_lo and (g.n_hi is None or n <= g.n_hi)
                 )
             continue
-        for g in scans:
-            if g.n_hi is not None and g.n_hi - g.n_lo + 1 <= EXPAND_LIMIT:
-                fixed.extend(g.piece_at(n) for n in range(g.n_lo, g.n_hi + 1))
-            else:
-                groups.append(g)
+        groups.extend(scans)
     return fixed, groups
 
 
@@ -326,8 +323,6 @@ def solve_step(problem: StepProblem) -> StepResult:
     working: list[AffinePiece] = list(problem.fixed)
     for g in problem.groups:
         working.extend(g.seed_pieces())
-        if g.n_hi is not None:
-            working.append(g.piece_at(g.n_hi))
     seen = {p.label for p in working}
 
     res: MinMaxResult = min_max_affine(working)
@@ -508,8 +503,8 @@ def _backward(
     position, attained when the step and every tight child are; ``i_bar``
     waives a bad site's payoff (its future is harvestable), floors the value
     at zero (the least entering wealth of a nonnegative aggregate) and, where
-    the step can move wealth (a nonzero slope or a scan group), keeps a
-    position covering the step from that value, attained when one exists."""
+    the step can move wealth (a nonzero slope or a scan group), keeps the
+    step's position, which covers the step from that value too."""
     f.validate(tree)
     if floored and not f.is_nonnegative(tree):
         raise PricingError("the null operator applies to nonnegative payoffs")
@@ -549,9 +544,16 @@ def _backward(
             else:
                 value, h, attained = value if value > 0 else Fraction(0), None, True
                 if problem.groups or any(p.slope != 0 for p in problem.fixed):
-                    # aim at the floored value, never below the step value
-                    h = _feasible_position(problem, step, value)
-                    attained = h is not None
+                    # Floored, only harvest waives a child: no child value is
+                    # -inf.  A harvest node keeps no moving child and only
+                    # zero-increment members, so a step that moves wealth is
+                    # at a node with increments of both strict signs and
+                    # keeps every child and every member range (as scan
+                    # groups).  Both slope signs remain, no drift direction
+                    # is unblocked, and the exchange ends attained or tangent.
+                    if not step.attained:
+                        raise PricingError(f"floored step at node {node.nid!r} not attained")
+                    h = step.h
             table[node.nid] = _NodeEval(value, attained, h, step.active, step.note)
     return table
 
@@ -742,7 +744,7 @@ def i_bar(
     """Null-operator value: cheapest nonnegative aggregate dominating f.
 
     The certificate takes each position from the backward pass along the
-    non-harvested children, and exists when every position it needs does."""
+    non-harvested children."""
     nid = nid if nid is not None else tree.root
     analysis = analyze(tree)
     table = _backward(tree, f, analysis, [nid], floored=True)
@@ -752,22 +754,19 @@ def i_bar(
         # the claim is a constant here; it is harvested for free from bad nodes
         note = "" if analysis.good[nid] else "bad node: free harvest"
         return PriceResult(top.value, True, None, top.active, note)
-    hedge, attained, stack = HedgeSequence(), True, [nid]
+    hedge, stack = HedgeSequence(), [nid]
     while stack:
         node = tree.node(stack.pop())
         if node.time >= f.maturity:
             continue
-        e = table[node.nid]
-        attained = attained and e.attained
-        if e.h is not None:
-            hedge.set(node.time, node.nid, e.h)
+        h = table[node.nid].h
+        if h is not None:
+            hedge.set(node.time, node.nid, h)
         s = analysis.summaries[node.nid]
         stack.extend(child for inc, child in node.children if not _harvested(s, inc))
-    strategy = None
-    if attained:
-        strategy = SimpleStrategy(top.value, hedge, start_time=start.time, start_node=nid)
+    strategy = SimpleStrategy(top.value, hedge, start_time=start.time, start_node=nid)
     note = "model value (aggregated nonnegative-strategy program)"
-    return PriceResult(top.value, attained, strategy, top.active, note)
+    return PriceResult(top.value, True, strategy, top.active, note)
 
 
 def i_bar_backward(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -18,6 +19,9 @@ from trajhedge.analysis import (
 from trajhedge.fileformat import parse_tree
 from trajhedge.model import TrajectoryTree
 from trajhedge.poly import Poly
+
+from gen import random_arbitrage_free_tree, random_family_tree, random_h3_tree
+from reference_cover import _all_descendants_covered
 
 
 def binary_tree(depth=2, up=1, down=-1):
@@ -246,3 +250,36 @@ def test_report_renders_deterministically(tree_6_2):
     assert r1 == r2
     assert "class=arbitrage-II" in r1
     assert "assumption L-a.e.: holds" in r1
+
+
+def _random_event(rng, tree):
+    """Node atoms on a few nodes and member windows on some families."""
+    atoms = [NodeAtom(nid) for nid in sorted(tree.nodes) if rng.random() < 0.25]
+    for fid, fam in sorted(tree.families.items()):
+        roll = rng.random()
+        if roll < 0.3:
+            atoms.append(FamilyAtom(fid, ((fam.n0, None),)))
+        elif roll < 0.6:
+            cut = fam.n0 + rng.randrange(3)
+            atoms.append(FamilyAtom(fid, ((fam.n0, cut), (cut + rng.randrange(1, 3), None))))
+    return EventSet(atoms)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fully_covered_nodes_equals_the_subtree_walk(seed):
+    rng = random.Random(seed)
+    make = (random_arbitrage_free_tree, random_family_tree, random_h3_tree)[seed % 3]
+    tree = make(rng)
+    analysis = analyze(tree)
+    for ev in (analysis.null_cover, _random_event(rng, tree), _random_event(rng, tree)):
+        walked = {
+            nid for nid in tree.nodes
+            if ev.covers_path(tree, nid) or _all_descendants_covered(tree, nid, ev)
+        }
+        assert ev.fully_covered_nodes(tree) == walked
+        if ev is analysis.null_cover:
+            assert {nid for nid in tree.nodes if analysis.fully_covered(nid)} == walked
+        # a cylinder is contained exactly when its node is fully covered
+        for nid in tree.nodes:
+            ok, _ = EventSet([NodeAtom(nid)]).subset_of(tree, ev)
+            assert ok == (nid in walked)

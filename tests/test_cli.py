@@ -90,6 +90,30 @@ def test_price_ibar_text(capsys, tree_file, payoff_file):
     )
 
 
+def test_unattained_floored_step_is_refused(monkeypatch, capsys, tree_file, payoff_file,
+                                            tree_6_2, payoff_6_2_f):
+    # a floored step that moves wealth is always attained; a kernel that
+    # claimed otherwise must stop the null operator, not lose its certificate
+    import trajhedge.pricing as pricing
+
+    real = pricing.solve_step
+
+    def unattained(problem):
+        step = real(problem)
+        if problem.groups or any(p.slope != 0 for p in problem.fixed):
+            return pricing.StepResult(step.value, False, None, [], [], "injected")
+        return step
+
+    monkeypatch.setattr(pricing, "solve_step", unattained)
+    with pytest.raises(pricing.PricingError, match="not attained"):
+        pricing.i_bar(tree_6_2, payoff_6_2_f)
+    with pytest.raises(pricing.PricingError, match="not attained"):
+        pricing.i_bar_backward(tree_6_2, payoff_6_2_f)
+    rc, out, err = run(capsys, "price", tree_file, payoff_file, "--op", "ibar")
+    assert (rc, out) == (2, "")
+    assert err == "error: floored step at node 'r' not attained\n"
+
+
 def test_price_at_node(capsys, tree_file, payoff_file):
     rc, out, _ = run(
         capsys, "price", tree_file, payoff_file, "--op", "sigma", "--node", "u"

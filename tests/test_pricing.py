@@ -3,13 +3,14 @@ from fractions import Fraction as Q
 
 import pytest
 
+import trajhedge.pricing as pricing
 from trajhedge.analysis import EventSet, FamilyAtom, NodeAtom, NodeClass, analyze
 from trajhedge.fileformat import parse_payoff, parse_tree
 from trajhedge.lp import AffinePiece, min_max_affine, minimize
 from trajhedge.model import MINUS_INF, PayoffSpec, TrajectoryTree, wealth, wealth_on_member
+from trajhedge.oracle import i_bar_lp
 from trajhedge.poly import Poly
 from trajhedge.pricing import (
-    EXPAND_LIMIT,
     _backward,
     check_integrable,
     check_supermartingale,
@@ -26,8 +27,15 @@ from trajhedge.pricing import (
     tower_check,
 )
 
+import reference_family
 from conftest import corpus_text
-from gen import random_arbitrage_free_tree, random_family_tree, random_h3_tree, random_payoff
+from gen import (
+    random_arbitrage_free_tree,
+    random_family_tree,
+    random_h3_tree,
+    random_no_measure_tree,
+    random_payoff,
+)
 from reference_pass import _i_bar_pass as reference_i_bar_pass
 from reference_pass import _sigma_pass as reference_sigma_pass
 
@@ -250,14 +258,13 @@ def test_supermartingale_check_rejects_increasing_constants():
 
 
 # ---------------------------------------------------------------------------
-# member ranges at the EXPAND_LIMIT boundary
+# bounded member ranges of 64 and 65 members (once a size boundary)
 
 
-@pytest.mark.parametrize("members", [EXPAND_LIMIT, EXPAND_LIMIT + 1])
+@pytest.mark.parametrize("members", [64, 65])
 def test_expand_limit_boundary_at_up_down_node(members):
-    # a member range of at most EXPAND_LIMIT becomes plain rows, a longer one
-    # a bounded scan group; V >= h on the down move and V >= 1 - h/n on the
-    # members n <= K leave V = h = K/(K+1) either way
+    # every member range is a scan group, bounded or not; V >= h on the down
+    # move and V >= 1 - h/n on the members n <= K leave V = h = K/(K+1)
     t = TrajectoryTree(0, 1)
     t.add_child(t.root, -1, "d")
     t.add_family(t.root, Poly.parse("0,1"), 1, "f")
@@ -275,9 +282,10 @@ def test_expand_limit_boundary_at_up_down_node(members):
     assert r.hedge.initial_capital == want
     assert r.hedge.hedge.at(0, t.root) == want
     assert i_bar_backward(t, f) == want
+    assert i_bar_lp(t, f).value == want
 
 
-@pytest.mark.parametrize("members", [EXPAND_LIMIT, EXPAND_LIMIT + 1])
+@pytest.mark.parametrize("members", [64, 65])
 def test_expand_limit_boundary_at_killed_ray_node(members):
     # increments -1 and 1/n - 1/10 (n >= 10) never go up, and member 10 does
     # not move: a type-I node where only that member constrains, whatever
@@ -299,6 +307,72 @@ def test_expand_limit_boundary_at_killed_ray_node(members):
     assert r.hedge.initial_capital == want
     assert not r.hedge.hedge.items()  # no move is left to hedge
     assert i_bar_backward(t, f) == want
+
+
+# every member range as a scan group, against the builder that expanded
+# bounded ranges of at most 64 members into plain rows
+
+WINDOW_SIZES = [1, 2, 4, 5, 63, 64, 65, 80]
+
+
+def _windowed_payoff(rng, tree, nonneg):
+    """A maturity-horizon payoff whose family pieces are windows of sizes on
+    both sides of 64 members, followed by one unbounded piece."""
+    pool = [Q(0), Q(1, 2), Q(1), Q(2), Q(3)] + ([] if nonneg else [Q(-1), Q(-2)])
+
+    def line():
+        base = rng.choice(pool)
+        slopes = [Q(0), Q(1), Q(2)] + ([Q(-1)] if base >= 1 or not nonneg else [])
+        return Poly([base, rng.choice(slopes)])
+
+    node_values = {nd.nid: rng.choice(pool) for nd in tree.nodes_at_time(tree.horizon)}
+    fam_values = {}
+    for fam in tree.families_born_by(tree.horizon):
+        pieces, lo = [], fam.n0
+        for _ in range(rng.randrange(1, 3)):
+            size = rng.choice(WINDOW_SIZES)
+            pieces.append((lo, lo + size - 1, line()))
+            lo += size
+        pieces.append((lo, None, line()))
+        fam_values[fam.fid] = tuple(pieces)
+    return PayoffSpec(tree.horizon, node_values, fam_values)
+
+
+def _once_expanded(f):
+    """Labels of members in bounded payoff windows of at most 64 members:
+    the expanded rows that the old builder could list as active."""
+    out = set()
+    for fid, pieces in f.family_values.items():
+        for lo, hi, _ in pieces:
+            if hi is not None and hi - lo + 1 <= 64:
+                out.update(f"family:{fid}:n={n}" for n in range(lo, hi + 1))
+    return out
+
+
+def _same_result(new, old, expanded):
+    assert (new.value, new.attained, new.hedge, new.note) == (
+        old.value, old.attained, old.hedge, old.note)
+    assert set(new.active) - expanded == set(old.active) - expanded
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_scan_groups_match_the_expanded_rows(seed, monkeypatch):
+    rng = random.Random(seed)
+    t = (random_family_tree, random_no_measure_tree)[seed % 3 == 2](rng)
+    f = _windowed_payoff(rng, t, nonneg=seed % 2 == 0)
+    expanded = _once_expanded(f)
+    ops = [lambda: sigma_bar_all(t, f), lambda: i_bar_backward_all(t, f)]
+    for nd in t.internal_nodes():
+        ops += [lambda nid=nd.nid: sigma_bar(t, f, nid), lambda nid=nd.nid: i_bar(t, f, nid)]
+    new = [_outcome(op) for op in ops]
+    with monkeypatch.context() as m:
+        m.setattr(pricing, "_family_constraints", reference_family._family_constraints)
+        old = [_outcome(op) for op in ops]
+    for a, b in zip(new, old):
+        if isinstance(b, pricing.PriceResult):
+            _same_result(a, b, expanded)
+        else:
+            assert a == b
 
 
 # ---------------------------------------------------------------------------
