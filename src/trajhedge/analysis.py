@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .model import Node, TrajectoryTree
-from .poly import grid_summary, ranges_excluding, rat_str
+from .poly import grid_summary, ranges_excluding, rat_str, subtract_ranges
 
 NRange = tuple[int, Optional[int]]
 
@@ -122,7 +122,7 @@ class EventSet:
                 if nd.nid in out or nd.is_leaf:
                     continue
                 if all(child in out for _, child in nd.children) and not any(
-                    _subtract_many([(tree.family(fid).n0, None)], self.member_ranges(fid))
+                    subtract_ranges([(tree.family(fid).n0, None)], self.member_ranges(fid))
                     for fid in nd.families
                 ):
                     out.add(nd.nid)
@@ -144,10 +144,7 @@ class EventSet:
         fam = tree.family(fid)
         if self.covers_path(tree, fam.parent):
             return []
-        runs: list[NRange] = [(fam.n0, None)]
-        for lo, hi in self.member_ranges(fid):
-            runs = _subtract_range(runs, lo, hi)
-        return runs
+        return subtract_ranges([(fam.n0, None)], self.member_ranges(fid))
 
     def atoms_sorted(self) -> list[str]:
         out = [NodeAtom(n).render() for n in sorted(self.node_atoms)]
@@ -170,32 +167,10 @@ class EventSet:
                 continue
             covered = other.member_ranges(fid)
             for lo, hi in ranges:
-                rem = _subtract_many([(lo, hi)], covered)
+                rem = subtract_ranges([(lo, hi)], covered)
                 if rem:
                     return False, f"members {rem[0]} of family {fid!r} escape"
         return True, ""
-
-
-def _subtract_range(runs: list[NRange], lo: int, hi: Optional[int]) -> list[NRange]:
-    out: list[NRange] = []
-    for r_lo, r_hi in runs:
-        if hi is not None and hi < r_lo:
-            out.append((r_lo, r_hi))
-            continue
-        if r_hi is not None and lo > r_hi:
-            out.append((r_lo, r_hi))
-            continue
-        if lo > r_lo:
-            out.append((r_lo, lo - 1))
-        if hi is not None and (r_hi is None or hi < r_hi):
-            out.append((hi + 1, r_hi))
-    return out
-
-
-def _subtract_many(runs: list[NRange], cuts: list[NRange]) -> list[NRange]:
-    for lo, hi in cuts:
-        runs = _subtract_range(runs, lo, hi)
-    return runs
 
 
 # ---------------------------------------------------------------------------

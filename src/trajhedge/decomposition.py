@@ -14,15 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .analysis import (
-    Analysis,
-    EventSet,
-    FamilyAtom,
-    NodeAtom,
-    NodeClass,
-    _subtract_many,
-    analyze,
-)
+from .analysis import EventSet, FamilyAtom, NodeAtom, NodeClass, analyze
 from .model import (
     HedgeSequence,
     PayoffSpec,
@@ -31,10 +23,11 @@ from .model import (
     QueryError,
     SimpleStrategy,
     TrajectoryTree,
-    _piece_grid,
-    _restrict_piece,
-    _sign_segments,
     member_cover_gap,
+    member_diff,
+    piece_grid,
+    restrict_piece,
+    sign_segments,
     wealth,
     wealth_on_member,
 )
@@ -45,18 +38,16 @@ from .poly import (
     intersect_ranges,
     rat,
     ranges_excluding,
+    subtract_ranges,
 )
 from .pricing import (
     MINUS_INF,
     PricingError,
     StepMemo,
-    _check_supermartingale,
-    _feasible_position,
-    _member_diff,
-    _next_step,
-    _next_values,
-    _step,
     check_supermartingale,
+    feasible_position,
+    next_values,
+    node_step,
 )
 
 
@@ -92,20 +83,14 @@ class Decomposition:
 # construction
 
 
-def _violation_nodes(
-    tree: TrajectoryTree,
-    f: ProcessSequence,
-    analysis: Analysis,
-    steps: StepMemo,
-):
+def _violation_nodes(tree: TrajectoryTree, f: ProcessSequence, steps: StepMemo):
     """Nodes where the one-step price strictly exceeds the running value."""
     out: set[str] = set()
     for j in range(tree.horizon):
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf:
                 continue
-            step = _next_step(steps, tree, f, nd.nid, analysis)[1]
-            if step.value > f[j].node_values[nd.nid]:
+            if steps.step(nd.nid).value > f[j].node_values[nd.nid]:
                 out.add(nd.nid)
     return out
 
@@ -113,7 +98,7 @@ def _violation_nodes(
 def _member_violation_ranges(tree, f, fid, j) -> list[tuple[int, Optional[int]]]:
     """Member windows where f_{j+1} > f_j strictly (flat continuations)."""
     fam = tree.family(fid)
-    diff = _member_diff(f, fid, j, fam.n0, None)
+    diff = member_diff(f, fid, j, fam.n0, None)
     if diff is None:
         return []
     windows: list[tuple[int, Optional[int]]] = []
@@ -130,7 +115,7 @@ def _member_violation_ranges(tree, f, fid, j) -> list[tuple[int, Optional[int]]]
 
 def _positive_segments(poly: Poly, lo: int, hi: Optional[int]):
     out = []
-    for seg_lo, seg_hi, nonneg in _sign_segments(poly, lo, hi):
+    for seg_lo, seg_hi, nonneg in sign_segments(poly, lo, hi):
         if not nonneg:
             continue
         zeros = grid_summary(poly, seg_lo, seg_hi).zeros
@@ -138,22 +123,17 @@ def _positive_segments(poly: Poly, lo: int, hi: Optional[int]):
     return out
 
 
-def _exception_set(
-    tree: TrajectoryTree,
-    f: ProcessSequence,
-    analysis: Analysis,
-    steps: StepMemo,
-) -> EventSet:
+def _exception_set(tree: TrajectoryTree, f: ProcessSequence, steps: StepMemo) -> EventSet:
     """Arbitrage moves, failure cylinders and one-step violations.
 
     Starts from the null cover: its arbitrage moves, and its sure-win nodes,
     which all fail continuity from below.  Independent of the slack sequence
     by construction."""
-    ev = analysis.null_cover.copy()
-    for nid, ok in analysis.l_holds.items():
+    ev = steps.analysis.null_cover.copy()
+    for nid, ok in steps.analysis.l_holds.items():
         if not ok:
             ev.add(NodeAtom(nid))
-    for nid in _violation_nodes(tree, f, analysis, steps):
+    for nid in _violation_nodes(tree, f, steps):
         ev.add(NodeAtom(nid))
     for j in range(tree.horizon):
         for fam in tree.families_born_by(j):
@@ -171,7 +151,8 @@ def doob_decompose(
     Each node's one-step price of the next value is solved once and shared
     by the supermartingale check, the exception set and the hedge choice.
     """
-    analysis = analyze(tree)
+    steps = StepMemo(f)
+    analysis = steps.analysis
     deltas = [rat(d) for d in deltas]
     if len(deltas) != tree.horizon:
         raise DecompositionError("need one positive slack per period")
@@ -182,12 +163,11 @@ def doob_decompose(
             "decomposition requires the a.e. continuity assumption: "
             + "; ".join(analysis.l_ae.witnesses)
         )
-    steps: StepMemo = {}
-    ok, witness = _check_supermartingale(tree, f, analysis, steps)
+    ok, witness = check_supermartingale(tree, f, steps)
     if not ok:
         raise DecompositionError(f"not a supermartingale: violation at {witness}")
 
-    exceptions = _exception_set(tree, f, analysis, steps)
+    exceptions = _exception_set(tree, f, steps)
     covered = exceptions.covered_nodes(tree)
     hedge = HedgeSequence()
     for j in range(tree.horizon):
@@ -198,10 +178,10 @@ def doob_decompose(
             healthy = analysis.node_class[nd.nid] is NodeClass.UP_DOWN
             if healthy and nd.nid not in covered:
                 target = f[j].node_values[nd.nid] + deltas[j]
-                problem, step = _next_step(steps, tree, f, nd.nid, analysis)
-                if problem is None:  # every node failing continuity is excepted
+                step = steps.step(nd.nid)
+                if step.problem is None:  # every node failing continuity is excepted
                     raise PricingError(f"no one-step problem at node {nd.nid!r}")
-                found = _feasible_position(problem, step, target)
+                found = feasible_position(step, target)
                 if found is None:
                     raise DecompositionError(
                         f"no finite hedge within the slack at node {nd.nid!r}"
@@ -247,7 +227,7 @@ def decomposition_from_hedge(
     hedge: HedgeSequence,
 ) -> Decomposition:
     """Fill in compensator increments for a given hedge (not verified here)."""
-    exceptions = _exception_set(tree, f, analyze(tree), {})
+    exceptions = _exception_set(tree, f, StepMemo(f))
     return _from_hedge(
         tree, f, [rat(d) for d in deltas], hedge, exceptions,
         exceptions.covered_nodes(tree),
@@ -301,9 +281,9 @@ def _from_hedge(
             if fam.fid in alpha_fams:
                 continue
             pieces = []
-            for lo, hi in _piece_grid(f, fam.fid, j + 1, tree.family_birth(fam.fid)):
-                nxt = _restrict_piece(f[j + 1].family_values[fam.fid], lo, hi)
-                prv = _restrict_piece(f[j].family_values[fam.fid], lo, hi)
+            for lo, hi in piece_grid(f, fam.fid, j + 1, tree.family_birth(fam.fid)):
+                nxt = restrict_piece(f[j + 1].family_values[fam.fid], lo, hi)
+                prv = restrict_piece(f[j].family_values[fam.fid], lo, hi)
                 alpha_poly = Poly.constant(deltas[j]) - (nxt - prv)
                 pieces.extend(
                     _mask_exceptions(
@@ -408,7 +388,7 @@ def verify_decomposition(
             )
             for lo, hi, a_poly in a_path:
                 for w_lo, w_hi in _alive_windows(d.exception_set, covered, fam, lo, hi):
-                    target = _restrict_piece(f[i].family_values[fam.fid], w_lo, w_hi)
+                    target = restrict_piece(f[i].family_values[fam.fid], w_lo, w_hi)
                     diff = (base_gain - a_poly) - target
                     if diff.is_zero():
                         continue
@@ -428,7 +408,7 @@ def _alive_windows(
     """Member windows of [lo, hi] that the exceptions leave uncovered."""
     if fam.parent in covered:
         return []
-    return _subtract_many([(lo, hi)], exceptions.member_ranges(fam.fid))
+    return subtract_ranges([(lo, hi)], exceptions.member_ranges(fam.fid))
 
 
 def _add_increments(pieces, increments):
@@ -468,17 +448,15 @@ def decomposition_feasible(
             if nd.is_leaf or analysis.fully_covered(nd.nid):
                 continue
             target = f[j].node_values[nd.nid] + deltas[j]
-            values, pieces = _next_values(tree, f, nd.nid, analysis.fully_covered)
-            problem, step = _step(tree, analysis, nd.nid, values, pieces)
+            values, pieces = next_values(f, nd.nid, analysis.fully_covered)
+            step = node_step(analysis, nd.nid, values, pieces)
             # a -inf one-step value (every child waived, too) needs no position
-            if step.value != MINUS_INF and _feasible_position(problem, step, target) is None:
+            if step.value != MINUS_INF and feasible_position(step, target) is None:
                 return False, nd.nid
         for fam in tree.families_born_by(j):
             for w_lo, w_hi in analysis.alive_member_ranges(fam.fid):
-                for lo, hi, poly in _member_diff(f, fam.fid, j, w_lo, w_hi) or []:
-                    shifted = poly.shift(-deltas[j])
-                    s = grid_summary(shifted, lo, hi)
-                    if s.has_pos or (s.limit is not None and s.limit > 0):
+                for lo, hi, poly in member_diff(f, fam.fid, j, w_lo, w_hi) or []:
+                    if grid_summary(poly.shift(-deltas[j]), lo, hi).has_pos:
                         return False, f"family:{fam.fid}"
     return True, None
 

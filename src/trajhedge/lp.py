@@ -4,8 +4,10 @@ Two solvers live here:
 
 * ``minimize`` - a dense two-phase simplex over Fractions with Bland's rule
   (deterministic, exact) for programs ``min c.x  s.t.  A x >= b`` with free
-  variables.  It serves the test oracle ``oracle.i_bar_lp`` on trees of a
-  few dozen nodes, so no sparsity or scaling tricks are needed.
+  variables.  It serves the test oracle ``oracle.i_bar_lp``, which re-solves
+  it from scratch each exchange round; each round's tableau grows by a row
+  and its slack, so a family tree of 7 nodes with member windows of 68 and
+  78 bounded members already runs for minutes (ROADMAP item 4).
 * ``min_max_affine`` - the one-step kernel's inner problem
   ``min_h max_i (v_i - h * d_i)`` solved in closed form via crossing pairs,
   including the unbounded directions.  It works on integers: each piece

@@ -449,7 +449,7 @@ def abs_payoff(tree: TrajectoryTree, f: PayoffSpec) -> PayoffSpec:
     for fid, pieces in f.family_values.items():
         out: list[Piece] = []
         for lo, hi, poly in pieces:
-            for s_lo, s_hi, nonneg in _sign_segments(poly, lo, hi):
+            for s_lo, s_hi, nonneg in sign_segments(poly, lo, hi):
                 out.append((s_lo, s_hi, poly if nonneg else -poly))
         fam_values[fid] = tuple(sorted(out))
     g = PayoffSpec(f.maturity, node_values, fam_values)
@@ -457,7 +457,7 @@ def abs_payoff(tree: TrajectoryTree, f: PayoffSpec) -> PayoffSpec:
     return g
 
 
-def _sign_segments(poly: Poly, lo: int, hi: Optional[int]):
+def sign_segments(poly: Poly, lo: int, hi: Optional[int]):
     """Maximal runs of the grid where poly keeps a weak sign (>=0 or <=0)."""
     if poly.is_zero():
         return [(lo, hi, True)]
@@ -638,7 +638,7 @@ def first_time_value_geq(tree: TrajectoryTree, threshold) -> StoppingTime:
 
 
 def _nonneg_windows(poly: Poly, n0: int) -> list[NRange]:
-    segs = _sign_segments(poly, n0, None)
+    segs = sign_segments(poly, n0, None)
     return [(lo, hi) for lo, hi, nonneg in segs if nonneg]
 
 
@@ -708,11 +708,11 @@ def _member_piece_at(f: ProcessSequence, fid: str, k: int, lo: int, hi: Optional
     if k < birth:
         anc = tree.ancestor_at(tree.family(fid).parent, k)
         return (lo, hi, Poly.constant(f[k].node_values[anc]))
-    poly = _restrict_piece(f[k].family_values[fid], lo, hi)
+    poly = restrict_piece(f[k].family_values[fid], lo, hi)
     return (lo, hi, poly)
 
 
-def _restrict_piece(pieces: tuple[Piece, ...], lo: int, hi: Optional[int]) -> Poly:
+def restrict_piece(pieces: tuple[Piece, ...], lo: int, hi: Optional[int]) -> Poly:
     """Polynomial of the piece that covers the member range [lo, hi]."""
     for p_lo, p_hi, poly in pieces:
         if p_lo <= lo and (p_hi is None or (hi is not None and hi <= p_hi)):
@@ -754,12 +754,12 @@ def supermartingale_transform(
                     - f[i].node_values[parent_path[i]]
                 )
             pieces: list[Piece] = []
-            for lo, hi in _piece_grid(f, fid, j, birth):
+            for lo, hi in piece_grid(f, fid, j, birth):
                 poly = Poly.constant(acc_const)
                 d_birth = d.at(birth - 1, fam.parent)
                 prev = Poly.constant(f[birth - 1].node_values[fam.parent])
                 for i in range(birth - 1, j):
-                    cur = _restrict_piece(f[i + 1].family_values[fid], lo, hi)
+                    cur = restrict_piece(f[i + 1].family_values[fid], lo, hi)
                     di = d_birth if i == birth - 1 else _member_d(d, fid, i)
                     poly = poly + (cur - prev).scale(di)
                     prev = cur
@@ -775,7 +775,7 @@ def _member_d(d: HedgeSequence, fid: str, time: int) -> Fraction:
     return d.entries.get((time, fid), Fraction(0))
 
 
-def _piece_grid(f: ProcessSequence, fid: str, j: int, birth: int) -> list[NRange]:
+def piece_grid(f: ProcessSequence, fid: str, j: int, birth: int) -> list[NRange]:
     """Common refinement of the member ranges used by f_{birth..j} for fid."""
     cuts: set[int] = set()
     fam = f.tree.family(fid)
@@ -795,6 +795,30 @@ def _piece_grid(f: ProcessSequence, fid: str, j: int, birth: int) -> list[NRange
         out.append((lo, hi))
     return out
 
+
+
+def member_diff(f: ProcessSequence, fid: str, j: int, lo: int, hi: Optional[int]):
+    """(f_{j+1} - f_j) on members of fid in [lo, hi], as refined pieces, or
+    None while the family is not yet born at j + 1."""
+    tree = f.tree
+    birth = tree.family_birth(fid)
+    if j + 1 <= tree.horizon and j + 1 < birth:
+        return None
+    out = []
+    if j < birth:
+        # previous value is the parent's node value at time j
+        prev_const = f[j].node_values[tree.ancestor_at(tree.family(fid).parent, j)]
+        for p_lo, p_hi, poly in f[j + 1].family_values[fid]:
+            meet = intersect_ranges((p_lo, p_hi), (lo, hi))
+            if meet is not None:
+                out.append((*meet, poly.shift(-prev_const)))
+        return out
+    for p_lo, p_hi, poly_next in f[j + 1].family_values[fid]:
+        for q_lo, q_hi, poly_prev in f[j].family_values[fid]:
+            meet = intersect_ranges((p_lo, p_hi), (q_lo, q_hi), (lo, hi))
+            if meet is not None:
+                out.append((*meet, poly_next - poly_prev))
+    return out
 
 def uniform_positions(tree: TrajectoryTree, value) -> HedgeSequence:
     """Constant positions at every explicit node and family continuation."""

@@ -4,8 +4,10 @@ A gridded backward search bounds the superhedging price from above, and
 classical one-step martingale measures (probability weights with zero mean
 increment) give the dual price by backward maximization over local vertex
 measures; both avoid the LP machinery and run on explicit trees.  The null
-operator's aggregated program, solved as one exact LP over the whole tree
-(family trees included), is the reference for the backward ``i_bar``.
+operator's aggregated program, solved as one exact LP over the whole tree,
+is the reference for the backward ``i_bar`` on small trees, with families
+or without; member windows of a few dozen bounded members can make it run
+for minutes (ROADMAP item 4).
 Agreement with the pricing module is asserted by the test suite; any
 mismatch is an engine bug, not a modeling discrepancy.
 """
@@ -26,7 +28,7 @@ from .model import (
     SimpleStrategy,
     TrajectoryTree,
 )
-from .poly import rat
+from .poly import grid_member_above, rat
 from .pricing import (
     MAX_ROUNDS,
     Interval,
@@ -34,9 +36,7 @@ from .pricing import (
     PricingError,
     ScanGroup,
     UnconvergedError,
-    _family_constraints,
-    _group_violation,
-    _harvested,
+    scan_groups,
 )
 
 
@@ -312,13 +312,30 @@ def i_bar_lp(
             if analysis.good[cur]:
                 rows.append((dict(wealth[cur]), f.node_values[cur], f"payoff:{cur}"))
             continue
+        # the oracle's own member rule: at a one-sided node every move is a
+        # harvested cylinder, so only zero increments constrain, as rows;
+        # elsewhere each family payoff piece is a scan group
         s = analysis.summaries[cur]
+        one_sided = s.plus_ray or s.minus_ray
         alive = [
             (inc, child)
             for inc, child in sorted(node.children, key=lambda c: c[1])
-            if not _harvested(s, inc)
+            if not (one_sided and inc != 0)
         ]
-        members, fam_groups = _family_constraints(tree, s, node, f.family_values)
+        members: list[AffinePiece] = []
+        fam_groups: list[ScanGroup] = []
+        for fid in sorted(node.families):
+            scans = scan_groups(tree.family(fid), f.family_values[fid])
+            if not one_sided:
+                fam_groups.extend(scans)
+                continue
+            zeros = [n for z_fid, n in s.zero_members if z_fid == fid]
+            members.extend(
+                g.piece_at(n)
+                for g in scans
+                for n in zeros
+                if n >= g.n_lo and (g.n_hi is None or n <= g.n_hi)
+            )
         if fam_groups or any(inc != 0 for inc, _ in alive):
             var_of[cur] = len(var_of) + 1
         for inc, child in alive:
@@ -352,9 +369,10 @@ def i_bar_lp(
             w_here = sum(coef * sol.x[i] for i, coef in wealth[owner].items())
             hv = var_of.get(owner)
             h_here = sol.x[hv] if hv is not None else Fraction(0)
-            n, viol = _group_violation(g, w_here, h_here)
+            psi = (g.vpoly - g.dpoly.scale(h_here)).shift(-w_here)
+            n = grid_member_above(psi, Fraction(0), g.n_lo, g.n_hi)
             if n is not None:
-                violations.append((viol, owner, g, n))
+                violations.append((psi.at_index(n), owner, g, n))
         if not violations:
             result = (sol, work_rows)
             break

@@ -423,6 +423,24 @@ def intersect_ranges(
     return lo, hi
 
 
+def subtract_ranges(
+    runs: list[tuple[int, Optional[int]]], cuts: Iterable[tuple[int, Optional[int]]]
+) -> list[tuple[int, Optional[int]]]:
+    """Members of the ranges ``runs`` outside every range of ``cuts``, as ranges."""
+    for lo, hi in cuts:
+        out: list[tuple[int, Optional[int]]] = []
+        for r_lo, r_hi in runs:
+            if (hi is not None and hi < r_lo) or (r_hi is not None and lo > r_hi):
+                out.append((r_lo, r_hi))
+                continue
+            if lo > r_lo:
+                out.append((r_lo, lo - 1))
+            if hi is not None and (r_hi is None or hi < r_hi):
+                out.append((hi + 1, r_hi))
+        runs = out
+    return runs
+
+
 def ranges_excluding(
     n_lo: int, n_hi: Optional[int], excluded: Sequence[int]
 ) -> list[tuple[int, Optional[int]]]:

@@ -45,6 +45,7 @@ from .analysis import Analysis, EventSet, IncrementSummary, analyze
 from .lp import AffinePiece, MinMaxResult, min_max_affine
 from .model import (
     MINUS_INF,
+    Family,
     HedgeSequence,
     Node,
     PayoffSpec,
@@ -54,8 +55,9 @@ from .model import (
     SimpleStrategy,
     TrajectoryTree,
     abs_payoff,
+    member_diff,
 )
-from .poly import Poly, grid_member_above, grid_summary, intersect_ranges, rat_str
+from .poly import Poly, grid_member_above, grid_summary, rat_str
 
 MAX_ROUNDS = 200  # a guard on the exchange loop, never an answer (see solve_step)
 
@@ -135,6 +137,18 @@ class ScanGroup:
         ns = sorted({*range(self.n_lo, min(self.n_lo + 3, self.n_hi) + 1), self.n_hi})
         return [self.piece_at(n) for n in ns]
 
+    def violation(self, V: Fraction, h: Fraction) -> tuple[Optional[int], Fraction]:
+        """A member with v - h * d > V (the grid maximum when one is
+        attained) and its excess, or (None, 0) when no member exceeds V."""
+        psi = (self.vpoly - self.dpoly.scale(h)).shift(-V)
+        n = grid_member_above(psi, Fraction(0), self.n_lo, self.n_hi)
+        return (None, Fraction(0)) if n is None else (n, psi.at_index(n))
+
+
+def scan_groups(fam: Family, pieces: Sequence[Piece]) -> list[ScanGroup]:
+    """One scan group per payoff piece on the family's members."""
+    return [ScanGroup(fam.fid, fam.poly, vpoly, lo, hi) for lo, hi, vpoly in pieces]
+
 
 @dataclass
 class StepProblem:
@@ -150,6 +164,8 @@ class StepResult:
     tight_children: list[str]
     active: list[str]
     note: str = ""
+    # the problem solved; None where continuity from below fails
+    problem: Optional[StepProblem] = field(default=None, compare=False, repr=False)
 
 
 def _harvested(s: IncrementSummary, inc: Fraction) -> bool:
@@ -196,10 +212,7 @@ def _family_constraints(
         fam = tree.family(fid)
         if fid not in family_pieces:
             raise PricingError(f"no continuation values for family {fid!r}")
-        scans = [
-            ScanGroup(fid, fam.poly, vpoly, lo, hi)
-            for lo, hi, vpoly in family_pieces[fid]
-        ]
+        scans = scan_groups(fam, family_pieces[fid])
         if s.plus_ray or s.minus_ray:
             zeros = grid_summary(fam.poly, fam.n0, None).zeros
             for g in scans:
@@ -211,20 +224,6 @@ def _family_constraints(
             continue
         groups.extend(scans)
     return fixed, groups
-
-
-def _group_violation(group: ScanGroup, V: Fraction, h: Fraction):
-    """Most violated member of the group at (V, h), exactly."""
-    psi = group.vpoly - group.dpoly.scale(h)
-    psi = psi.shift(-V)
-    summary = grid_summary(psi, group.n_lo, group.n_hi)
-    if summary.max_val > 0:
-        return summary.max_arg, summary.max_val
-    if summary.limit is not None and summary.limit > 0:
-        n = grid_member_above(psi, Fraction(0), group.n_lo, group.n_hi)
-        if n is not None:
-            return n, psi.at_index(n)
-    return None, Fraction(0)
 
 
 def _asymptotic_value(problem: StepProblem, direction: int):
@@ -283,7 +282,7 @@ def _step_feasible(problem: StepProblem, V: Fraction, h: Fraction) -> bool:
         if p.value - h * p.slope > V:
             return False
     for g in problem.groups:
-        n, viol = _group_violation(g, V, h)
+        n, _ = g.violation(V, h)
         if n is not None:
             return False
     return True
@@ -310,8 +309,16 @@ def solve_step(problem: StepProblem) -> StepResult:
     reaches V* once the finitely many head members active at the optimum are
     in; a working optimum that still sees violations is then the tangent
     itself, or lies at |h| = inf, where some tail stays violated at every h.
-    The cap raises ``UnconvergedError`` rather than answer.
+    The cap raises ``UnconvergedError`` rather than answer.  The result
+    carries ``problem``.
     """
+    result = _exchange(problem)
+    result.problem = problem
+    return result
+
+
+def _exchange(problem: StepProblem) -> StepResult:
+    """``solve_step``'s answer, before the problem is attached."""
     if not problem.groups:
         # no member to add and none to block a drift: one round is final
         res = min_max_affine(problem.fixed)
@@ -346,7 +353,7 @@ def solve_step(problem: StepProblem) -> StepResult:
             raise PricingError("min-max round returned no finite value and hedge")
         violations = []
         for g in problem.groups:
-            n, viol = _group_violation(g, V, h)
+            n, viol = g.violation(V, h)
             if n is not None:
                 violations.append((viol, g, n))
         if not violations:
@@ -402,6 +409,21 @@ def _drift_result(problem: StepProblem, limit: Fraction, direction: int) -> Step
     return StepResult(limit, False, None, [], sorted(active), note)
 
 
+def node_step(
+    analysis: Analysis,
+    nid: str,
+    child_values: dict[str, PriceValue],
+    family_pieces: dict[str, Sequence[Piece]],
+) -> StepResult:
+    """The node's one-step problem, solved; the answer of an empty problem
+    (every child waived) is -inf.  Children valued -inf and harvested moves
+    drop out; the result carries the problem."""
+    problem = _build_step_problem(analysis.tree, analysis, nid, child_values, family_pieces)
+    if not problem.fixed and not problem.groups:
+        return StepResult(MINUS_INF, False, None, [], [], "all children waived", problem)
+    return solve_step(problem)
+
+
 def one_step_superhedge(
     tree: TrajectoryTree,
     nid: str,
@@ -409,49 +431,24 @@ def one_step_superhedge(
     family_pieces: Optional[dict[str, Sequence[Piece]]] = None,
     analysis: Optional[Analysis] = None,
 ) -> StepResult:
-    """Single-period superhedging kernel at a node (continuation values given)."""
-    return _one_step(tree, analysis or analyze(tree), nid, child_values, family_pieces or {})[1]
-
-
-def _one_step(
-    tree: TrajectoryTree,
-    analysis: Analysis,
-    nid: str,
-    child_values: dict[str, PriceValue],
-    family_pieces: dict[str, Sequence[Piece]],
-) -> tuple[Optional[StepProblem], StepResult]:
-    """``_step``'s problem and answer, but no problem (value -inf) where
-    continuity from below fails."""
+    """Single-period superhedging kernel at a node (continuation values given):
+    ``node_step``, but -inf, with no problem, where continuity from below
+    fails."""
+    analysis = analysis or analyze(tree)
     if analysis.l_fails(nid):
-        step = StepResult(MINUS_INF, False, None, [], [], "continuity from below fails here")
-        return None, step
-    return _step(tree, analysis, nid, child_values, family_pieces)
+        return StepResult(MINUS_INF, False, None, [], [], "continuity from below fails here")
+    return node_step(analysis, nid, child_values, family_pieces or {})
 
 
-def _step(
-    tree: TrajectoryTree,
-    analysis: Analysis,
-    nid: str,
-    child_values: dict[str, PriceValue],
-    family_pieces: dict[str, Sequence[Piece]],
-) -> tuple[StepProblem, StepResult]:
-    """The node's step problem and its answer; an empty problem (value -inf)
-    where every child is waived."""
-    problem = _build_step_problem(tree, analysis, nid, child_values, family_pieces)
-    if not problem.fixed and not problem.groups:
-        return problem, StepResult(MINUS_INF, False, None, [], [], "all children waived")
-    return problem, solve_step(problem)
+def feasible_position(step: StepResult, target: Fraction) -> Optional[Fraction]:
+    """A finite h with target >= value - h * slope on every constraint of
+    the step's problem.
 
-
-def _feasible_position(
-    problem: StepProblem, step: StepResult, target: Fraction
-) -> Optional[Fraction]:
-    """A finite h with target >= value - h * slope on every constraint.
-
-    ``step`` is the problem's answer.  An empty problem needs position 0;
-    otherwise None exactly when no finite position exists (the value exceeds
-    the target, or equals it without attainment).
+    An empty problem needs position 0; otherwise None exactly when no finite
+    position exists (the value exceeds the target, or equals it without
+    attainment).
     """
+    problem = step.problem
     if not problem.fixed and not problem.groups:
         return Fraction(0)
     if step.value > target:
@@ -537,12 +534,13 @@ def _backward(
         for node in level:
             child_values = {child: table[child].value for _, child in node.children}
             pieces = {fid: f.family_values[fid] for fid in node.families}
-            problem, step = _step(tree, analysis, node.nid, child_values, pieces)
+            step = node_step(analysis, node.nid, child_values, pieces)
             value, h = step.value, step.h
             if not floored:
                 attained = step.attained and all(table[c].attained for c in step.tight_children)
             else:
                 value, h, attained = value if value > 0 else Fraction(0), None, True
+                problem = step.problem
                 if problem.groups or any(p.slope != 0 for p in problem.fixed):
                     # Floored, only harvest waives a child: no child value is
                     # -inf.  A harvest node keeps no moving child and only
@@ -638,11 +636,12 @@ def check_integrable(tree: TrajectoryTree, f: PayoffSpec, j: int = 0) -> bool:
 # supermartingale check (one-step prices against the running values)
 
 
-def _next_values(
-    tree: TrajectoryTree, f: ProcessSequence, nid: str, waived: Callable[[str], bool]
+def next_values(
+    f: ProcessSequence, nid: str, waived: Callable[[str], bool]
 ) -> tuple[dict[str, PriceValue], dict[str, Sequence[Piece]]]:
-    """Continuation values of f_{j+1} below nid, -inf at each waived child."""
-    node = tree.node(nid)
+    """Continuation values of f_{j+1} below the time-j node nid, -inf at
+    each waived child, and its families' payoff pieces."""
+    node = f.tree.node(nid)
     nxt = f[node.time + 1]
     child_values: dict[str, PriceValue] = {
         child: MINUS_INF if waived(child) else nxt.node_values[child]
@@ -651,54 +650,49 @@ def _next_values(
     return child_values, {fid: nxt.family_values[fid] for fid in node.families}
 
 
-StepMemo = dict[str, tuple[Optional[StepProblem], StepResult]]
+class StepMemo:
+    """Each node's one-step price of a process's next value, solved at most once.
 
+    At a time-j node it is ``one_step_superhedge`` of f_{j+1}, with the
+    children where continuity from below fails continuing at -inf.  Steps
+    are solved on demand, so the first request solves (and raises) exactly
+    where an unshared call would.  The caller that makes a memo owns it and
+    drops it when its own call returns."""
 
-def _next_step(
-    steps: StepMemo,
-    tree: TrajectoryTree,
-    f: ProcessSequence,
-    nid: str,
-    analysis: Analysis,
-) -> tuple[Optional[StepProblem], StepResult]:
-    """The one-step price of f_{j+1} at nid (children where continuity from
-    below fails waived), with its problem, solved at most once per memo.
+    def __init__(self, f: ProcessSequence):
+        self.f = f
+        self.analysis = analyze(f.tree)
+        self._steps: dict[str, StepResult] = {}
 
-    The memo is filled on demand, so the first request solves (and raises)
-    exactly where an unshared call would.  Callers own the memo and drop it
-    when their own call returns.
-    """
-    entry = steps.get(nid)
-    if entry is None:
-        values, pieces = _next_values(tree, f, nid, analysis.l_fails)
-        entry = steps[nid] = _one_step(tree, analysis, nid, values, pieces)
-    return entry
+    def step(self, nid: str) -> StepResult:
+        entry = self._steps.get(nid)
+        if entry is None:
+            values, pieces = next_values(self.f, nid, self.analysis.l_fails)
+            entry = self._steps[nid] = one_step_superhedge(
+                self.f.tree, nid, values, pieces, self.analysis
+            )
+        return entry
 
 
 def check_supermartingale(
-    tree: TrajectoryTree, f: ProcessSequence
+    tree: TrajectoryTree, f: ProcessSequence, steps: Optional[StepMemo] = None
 ) -> tuple[bool, Optional[str]]:
-    """One-step prices dominate the running values off the null cover."""
-    return _check_supermartingale(tree, f, analyze(tree), {})
+    """One-step prices dominate the running values off the null cover.
 
-
-def _check_supermartingale(
-    tree: TrajectoryTree,
-    f: ProcessSequence,
-    analysis: Analysis,
-    steps: StepMemo,
-) -> tuple[bool, Optional[str]]:
+    A caller that goes on to use the same one-step prices passes its own
+    ``steps``; by default the check makes one and drops it."""
+    steps = StepMemo(f) if steps is None else steps
+    analysis = steps.analysis
     for j in range(tree.horizon):
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf or analysis.fully_covered(nd.nid):
                 continue
-            step = _next_step(steps, tree, f, nd.nid, analysis)[1]
-            if step.value > f[j].node_values[nd.nid]:
+            if steps.step(nd.nid).value > f[j].node_values[nd.nid]:
                 return False, nd.nid
         # member positions: the sequence itself must not climb along survivors
         for fam in tree.families_born_by(j):
             for lo_r, hi_r in analysis.alive_member_ranges(fam.fid):
-                diff = _member_diff(f, fam.fid, j, lo_r, hi_r)
+                diff = member_diff(f, fam.fid, j, lo_r, hi_r)
                 if diff is None:
                     continue
                 for seg_lo, seg_hi, poly in diff:
@@ -707,29 +701,6 @@ def _check_supermartingale(
                         n = grid_member_above(poly, Fraction(0), seg_lo, seg_hi)
                         return False, f"family:{fam.fid}:n={n}"
     return True, None
-
-
-def _member_diff(f: ProcessSequence, fid: str, j: int, lo: int, hi: Optional[int]):
-    """(f_{j+1} - f_j) on members of fid in [lo, hi], as refined pieces."""
-    tree = f.tree
-    birth = tree.family_birth(fid)
-    if j + 1 <= tree.horizon and j + 1 < birth:
-        return None
-    out = []
-    if j < birth:
-        # previous value is the parent's node value at time j
-        prev_const = f[j].node_values[tree.ancestor_at(tree.family(fid).parent, j)]
-        for p_lo, p_hi, poly in f[j + 1].family_values[fid]:
-            meet = intersect_ranges((p_lo, p_hi), (lo, hi))
-            if meet is not None:
-                out.append((*meet, poly.shift(-prev_const)))
-        return out
-    for p_lo, p_hi, poly_next in f[j + 1].family_values[fid]:
-        for q_lo, q_hi, poly_prev in f[j].family_values[fid]:
-            meet = intersect_ranges((p_lo, p_hi), (q_lo, q_hi), (lo, hi))
-            if meet is not None:
-                out.append((*meet, poly_next - poly_prev))
-    return out
 
 
 # ---------------------------------------------------------------------------

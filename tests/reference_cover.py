@@ -6,7 +6,8 @@ A verbatim copy.  ``test_analysis.py`` compares ``EventSet.fully_covered_nodes``
 which decides every node in one bottom-up pass, against it.
 """
 
-from trajhedge.analysis import EventSet, _subtract_many
+from trajhedge.analysis import EventSet
+from trajhedge.poly import subtract_ranges
 from trajhedge.model import TrajectoryTree
 
 
@@ -19,7 +20,7 @@ def _all_descendants_covered(tree: TrajectoryTree, nid: str, ev: "EventSet") -> 
         if node.is_leaf:
             return False
         for fid in node.families:
-            if _subtract_many([(tree.family(fid).n0, None)], ev.member_ranges(fid)):
+            if subtract_ranges([(tree.family(fid).n0, None)], ev.member_ranges(fid)):
                 return False
         stack.extend(child for _, child in node.children if child not in ev.node_atoms)
     return True

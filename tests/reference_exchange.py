@@ -24,7 +24,6 @@ from trajhedge.pricing import (
     _blocking_member,
     _drift_exit,
     _drift_result,
-    _group_violation,
     _step_feasible,
 )
 
@@ -91,7 +90,7 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
         last_point = (V, h)
         violations = []
         for g in problem.groups:
-            n, viol = _group_violation(g, V, h)
+            n, viol = g.violation(V, h)
             if n is not None:
                 violations.append((viol, g, n))
         if not violations:
@@ -125,7 +124,7 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
     V, h = last_point
     worst = Fraction(0)
     for g in problem.groups:
-        _, viol = _group_violation(g, V, h)
+        _, viol = g.violation(V, h)
         worst = max(worst, viol)
     interval = Interval(V, V + worst)
     if interval.width <= tolerance:

@@ -4,21 +4,20 @@ one-step problems by hand.
 A verbatim copy: explicit children outside the null cover become plain
 constraints, and every family payoff piece, cut to the family's alive member
 windows, becomes a scan group.  ``test_decomposition.py`` compares today's
-version, which builds through ``pricing._build_step_problem``, against it.
+version, which builds through ``pricing.node_step``, against it.
 """
 
 from typing import Optional, Sequence
 
 from trajhedge.analysis import analyze
 from trajhedge.lp import AffinePiece
-from trajhedge.model import ProcessSequence, TrajectoryTree
+from trajhedge.model import ProcessSequence, TrajectoryTree, member_diff
 from trajhedge.poly import grid_summary, intersect_ranges, rat
 from trajhedge.pricing import (
     MINUS_INF,
     ScanGroup,
     StepProblem,
-    _feasible_position,
-    _member_diff,
+    feasible_position,
     solve_step,
 )
 
@@ -62,11 +61,11 @@ def decomposition_feasible(
                 continue
             step = solve_step(problem)
             # a -inf one-step value needs no position at all
-            if step.value != MINUS_INF and _feasible_position(problem, step, target) is None:
+            if step.value != MINUS_INF and feasible_position(step, target) is None:
                 return False, nd.nid
         for fam in tree.families_born_by(j):
             for w_lo, w_hi in analysis.alive_member_ranges(fam.fid):
-                for lo, hi, poly in _member_diff(f, fam.fid, j, w_lo, w_hi) or []:
+                for lo, hi, poly in member_diff(f, fam.fid, j, w_lo, w_hi) or []:
                     shifted = poly.shift(-deltas[j])
                     s = grid_summary(shifted, lo, hi)
                     if s.has_pos or (s.limit is not None and s.limit > 0):

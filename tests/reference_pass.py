@@ -19,8 +19,8 @@ from trajhedge.pricing import (
     PriceValue,
     PricingError,
     _build_step_problem,
-    _feasible_position,
-    _one_step,
+    feasible_position,
+    one_step_superhedge,
     solve_step,
 )
 
@@ -63,7 +63,7 @@ def _sigma_pass(
         else:
             child_values = {child: ev(child).value for _, child in node.children}
             pieces = {fid: f.family_values[fid] for fid in node.families}
-            step = _one_step(tree, analysis, cur, child_values, pieces)[1]
+            step = one_step_superhedge(tree, cur, child_values, pieces, analysis)
             attained = step.attained and all(
                 ev(c).attained for c in step.tight_children
             )
@@ -119,7 +119,7 @@ def _i_bar_pass(
                 out, active = _NodeEval(value, True, None), step.active
                 if problem.groups or any(p.slope != 0 for p in problem.fixed):
                     # aim at the floored value, never below the step value
-                    h = _feasible_position(problem, step, value)
+                    h = feasible_position(step, value)
                     out = _NodeEval(value, h is not None, h)
         memo[cur] = out
         return out

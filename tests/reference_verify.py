@@ -15,8 +15,8 @@ from trajhedge.decomposition import Decomposition, _add_increments, _alive_windo
 from trajhedge.model import (
     ProcessSequence,
     TrajectoryTree,
-    _restrict_piece,
     member_cover_gap,
+    restrict_piece,
 )
 from trajhedge.poly import Poly, grid_member_above, grid_summary
 
@@ -92,7 +92,7 @@ def verify_decomposition(
             )
             for lo, hi, a_poly in a_path:
                 for w_lo, w_hi in _alive_windows(d.exception_set, covered, fam, lo, hi):
-                    target = _restrict_piece(f[i].family_values[fam.fid], w_lo, w_hi)
+                    target = restrict_piece(f[i].family_values[fam.fid], w_lo, w_hi)
                     diff = (base_gain - a_poly) - target
                     if diff.is_zero():
                         continue

@@ -101,7 +101,7 @@ def test_unattained_floored_step_is_refused(monkeypatch, capsys, tree_file, payo
     def unattained(problem):
         step = real(problem)
         if problem.groups or any(p.slope != 0 for p in problem.fixed):
-            return pricing.StepResult(step.value, False, None, [], [], "injected")
+            return pricing.StepResult(step.value, False, None, [], [], "injected", problem)
         return step
 
     monkeypatch.setattr(pricing, "solve_step", unattained)

@@ -4,6 +4,7 @@ and the number of exchange rounds the corpus takes."""
 import sys
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import trajhedge.lp as lp
@@ -115,6 +116,37 @@ def test_drift_closes_in_one_round(monkeypatch):
     assert step.note == "infimum approached as h -> -inf"
     assert step.active == ["family:f:limit"]
     assert rounds == 1
+    assert reference_exchange.solve_step(problem) == step
+
+
+@pytest.mark.parametrize("floor", [Q(-1), Q(0)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_flat_piece_on_the_drift_side_only_floors(sign, floor):
+    # t - h*sign*t^2 > 0 for small t at every h: the infimum 0 is approached
+    # as h -> sign*inf.  A zero-slope piece does not block that direction; it
+    # floors the envelope, and is active when it meets the limit
+    problem = StepProblem(
+        [AffinePiece(Q(0), floor, "node:z")],
+        [ScanGroup("f", Poly([0, 0, sign]), Poly.parse("0,1"), 1, None)],
+    )
+    step = solve_step(problem)
+    assert (step.value, step.attained, step.h) == (0, False, None)
+    assert step.note == f"infimum approached as h -> {'+' if sign > 0 else '-'}inf"
+    assert step.active == ["family:f:limit"] + (["node:z"] if floor == 0 else [])
+    assert reference_exchange.solve_step(problem) == step
+
+
+def test_constant_payoff_equal_to_the_working_value():
+    # v = 1 on every member, and d = t^2 - t/5 is negative beyond n = 5: the
+    # first round sits at V = 1 with h >= 1, where those members are violated
+    # while v - V is the zero polynomial, so the tail test reads d alone
+    problem = StepProblem(
+        [AffinePiece(Q(1), Q(2), "node:c")],
+        [ScanGroup("f", Poly.parse("0,-1/5,1"), Poly.parse("1"), 1, None)],
+    )
+    step = solve_step(problem)
+    assert (step.value, step.attained, step.h) == (Q(102, 101), True, Q(100, 101))
+    assert step.active == ["family:f:n=10", "node:c"]
     assert reference_exchange.solve_step(problem) == step
 
 
