@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .model import Node, TrajectoryTree
 from .poly import grid_summary, ranges_excluding, rat_str, subtract_ranges
@@ -138,7 +138,11 @@ class EventSet:
         )
 
     def member_ranges(self, fid: str) -> list[NRange]:
-        return sorted(self.family_atoms.get(fid, []))
+        """The member windows of ``fid``, by start and then by end, an
+        unbounded end last."""
+        return sorted(
+            self.family_atoms.get(fid, []), key=lambda r: (r[0], r[1] is None, r[1] or 0)
+        )
 
     def uncovered_member_ranges(self, tree: TrajectoryTree, fid: str) -> list[NRange]:
         fam = tree.family(fid)
@@ -149,7 +153,7 @@ class EventSet:
     def atoms_sorted(self) -> list[str]:
         out = [NodeAtom(n).render() for n in sorted(self.node_atoms)]
         for fid in sorted(self.family_atoms):
-            out.append(FamilyAtom(fid, tuple(sorted(self.family_atoms[fid]))).render())
+            out.append(FamilyAtom(fid, tuple(self.member_ranges(fid))).render())
         return out
 
     def subset_of(self, tree: TrajectoryTree, other: "EventSet") -> tuple[bool, str]:
@@ -293,10 +297,12 @@ class Analysis:
 
 
 def analyze(tree: TrajectoryTree) -> Analysis:
-    """Classify every node and decide continuity-from-below exactly."""
-    cached = getattr(tree, "_analysis_cache", None)
-    if cached is not None:
-        return cached
+    """Classify every node and decide continuity-from-below exactly.  The
+    answer is kept on the tree until the tree next grows."""
+    return tree.memo("analysis", _analyze)
+
+
+def _analyze(tree: TrajectoryTree) -> Analysis:
     tree.validate()
     summaries: dict[str, IncrementSummary] = {}
     node_class: dict[str, NodeClass] = {}
@@ -324,7 +330,6 @@ def analyze(tree: TrajectoryTree) -> Analysis:
     analysis.h1 = _check_h1(analysis)
     analysis.l_ae = _assumption_l_ae(analysis)
     _assert_theorem_consistency(analysis)
-    tree._analysis_cache = analysis
     return analysis
 
 
@@ -370,15 +375,7 @@ def _continuity_status(tree, summaries, node_class) -> dict[str, bool]:
             # no attained zero and no two-sided movement: sure-win structure
             holds[nd.nid] = False
             continue
-        bounds: list[Fraction] = []
-        for inc, child in nd.children:
-            if holds[child]:
-                bounds.append(inc)
-        for fid in nd.families:
-            fam = tree.family(fid)
-            fs = grid_summary(fam.poly, fam.n0, None)
-            bounds.extend([fs.inf_cl, fs.sup_cl])
-        holds[nd.nid] = bool(bounds) and min(bounds) <= 0 <= max(bounds)
+        holds[nd.nid] = _straddles(tree, nd, holds.__getitem__)
     return holds
 
 
@@ -477,24 +474,20 @@ def _type_ii_nodes(analysis: Analysis) -> list[Node]:
     ]
 
 
-def _sibling_bounds(analysis: Analysis, parent: Node, exclude: str):
-    """Closure bounds of increments to non-sure-win siblings under parent."""
-    tree = analysis.tree
-    bounds: list[Fraction] = []
-    names: list[str] = []
-    for inc, child in parent.children:
-        if child == exclude:
-            continue
-        if analysis.node_class[child] is NodeClass.ARBITRAGE_II:
-            continue
-        bounds.append(inc)
-        names.append(child)
-    for fid in parent.families:
+def _straddles(tree: TrajectoryTree, node: Node, keep: Callable[[str], bool]) -> bool:
+    """Do the increments to the children ``keep`` admits, with the closure
+    bounds of every family at ``node``, reach 0 weakly from both sides?"""
+    below = above = False
+    for inc, child in node.children:
+        if keep(child):
+            below = below or inc <= 0
+            above = above or inc >= 0
+    for fid in node.families:
         fam = tree.family(fid)
         s = grid_summary(fam.poly, fam.n0, None)
-        bounds.extend([s.inf_cl, s.sup_cl])
-        names.append(fid)
-    return bounds, names
+        below = below or s.inf_cl <= 0
+        above = above or s.sup_cl >= 0
+    return below and above
 
 
 def _check_h2(analysis: Analysis) -> Verdict:
@@ -508,8 +501,10 @@ def _check_h2(analysis: Analysis) -> Verdict:
             return Verdict(
                 False, [f"parent of {nd.nid!r} is {analysis.node_class[parent.nid].value}"]
             )
-        bounds, names = _sibling_bounds(analysis, parent, nd.nid)
-        if not bounds or max(bounds) < 0 or min(bounds) > 0:
+        if not _straddles(
+            tree, parent,
+            lambda c: c != nd.nid and analysis.node_class[c] is not NodeClass.ARBITRAGE_II,
+        ):
             return Verdict(
                 False,
                 [f"no near-zero non-sure-win siblings around {nd.nid!r}"],
@@ -556,15 +551,7 @@ def _check_h4(analysis: Analysis) -> Verdict:
             continue
         if not analysis.good[nd.nid]:
             continue
-        bounds: list[Fraction] = []
-        for inc, child in nd.children:
-            if analysis.good[child]:
-                bounds.append(inc)
-        for fid in nd.families:
-            fam = tree.family(fid)
-            s = grid_summary(fam.poly, fam.n0, None)
-            bounds.extend([s.inf_cl, s.sup_cl])
-        if not bounds or min(bounds) > 0 or max(bounds) < 0:
+        if not _straddles(tree, nd, analysis.good.__getitem__):
             return Verdict(
                 False, [f"good children of {nd.nid!r} stay away from zero increments"]
             )

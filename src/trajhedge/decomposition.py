@@ -10,6 +10,7 @@ slack.  Positions vanish at non-up-down nodes and after the first exception.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,9 +26,10 @@ from .model import (
     TrajectoryTree,
     member_cover_gap,
     member_diff,
+    nonneg_windows,
+    overlay_pieces,
     piece_grid,
     restrict_piece,
-    sign_segments,
     wealth,
     wealth_on_member,
 )
@@ -35,9 +37,9 @@ from .poly import (
     Poly,
     grid_member_above,
     grid_summary,
-    intersect_ranges,
     rat,
     ranges_excluding,
+    split_ranges,
     subtract_ranges,
 )
 from .pricing import (
@@ -108,19 +110,10 @@ def _member_violation_ranges(tree, f, fid, j) -> list[tuple[int, Optional[int]]]
         s = grid_summary(poly, lo, hi)
         if not s.has_pos:
             continue
-        segs = _positive_segments(poly, lo, hi)
-        windows.extend(segs)
+        for seg_lo, seg_hi in nonneg_windows(poly, lo, hi):
+            zeros = grid_summary(poly, seg_lo, seg_hi).zeros
+            windows.extend(ranges_excluding(seg_lo, seg_hi, list(zeros)))
     return windows
-
-
-def _positive_segments(poly: Poly, lo: int, hi: Optional[int]):
-    out = []
-    for seg_lo, seg_hi, nonneg in sign_segments(poly, lo, hi):
-        if not nonneg:
-            continue
-        zeros = grid_summary(poly, seg_lo, seg_hi).zeros
-        out.extend(ranges_excluding(seg_lo, seg_hi, list(zeros)))
-    return out
 
 
 def _exception_set(tree: TrajectoryTree, f: ProcessSequence, steps: StepMemo) -> EventSet:
@@ -200,24 +193,9 @@ def _mask_exceptions(tree, exceptions, covered, fid, lo, hi, poly) -> list[Piece
     """Zero the increment polynomial on excepted member windows."""
     if tree.family(fid).parent in covered:
         return [(lo, hi, Poly.constant(0))]
-    pieces: list[Piece] = []
-    alive = [(lo, hi)]
-    for cut in exceptions.member_ranges(fid):
-        nxt = []
-        for a_lo, a_hi in alive:
-            meet = intersect_ranges((a_lo, a_hi), cut)
-            if meet is None:
-                nxt.append((a_lo, a_hi))
-                continue
-            i_lo, i_hi = meet
-            if a_lo < i_lo:
-                nxt.append((a_lo, i_lo - 1))
-            pieces.append((i_lo, i_hi, Poly.constant(0)))
-            if i_hi is not None and (a_hi is None or i_hi < a_hi):
-                nxt.append((i_hi + 1, a_hi))
-        alive = nxt
-    pieces.extend((a_lo, a_hi, poly) for a_lo, a_hi in alive)
-    return pieces
+    masked, alive = split_ranges([(lo, hi)], exceptions.member_ranges(fid))
+    zero = Poly.constant(0)
+    return [(*m, zero) for m in masked] + [(*a, poly) for a in alive]
 
 
 def decomposition_from_hedge(
@@ -382,10 +360,11 @@ def verify_decomposition(
             t = parent.time
             start = f[t].node_values[parent.nid] + sum(d.deltas[t:i], Fraction(0))
             base_gain = fam.poly.scale(d.hedge.at(t, parent.nid)).shift(start)
-            a_path = member_comp[fam.fid] = _add_increments(
+            a_path = member_comp[fam.fid] = sorted(overlay_pieces(
                 member_comp.get(fam.fid, [(fam.n0, None, Poly.constant(0))]),
                 d.alphas[j].family_values[fam.fid],
-            )
+                operator.add,
+            ))
             for lo, hi, a_poly in a_path:
                 for w_lo, w_hi in _alive_windows(d.exception_set, covered, fam, lo, hi):
                     target = restrict_piece(f[i].family_values[fam.fid], w_lo, w_hi)
@@ -409,17 +388,6 @@ def _alive_windows(
     if fam.parent in covered:
         return []
     return subtract_ranges([(lo, hi)], exceptions.member_ranges(fam.fid))
-
-
-def _add_increments(pieces, increments):
-    """Member compensator pieces plus one period's increment pieces."""
-    refined: list[tuple[int, Optional[int], Poly]] = []
-    for lo, hi, acc in pieces:
-        for p_lo, p_hi, inc_poly in increments:
-            meet = intersect_ranges((lo, hi), (p_lo, p_hi))
-            if meet is not None:
-                refined.append((*meet, acc + inc_poly))
-    return sorted(refined)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def _member_window(toks, fam, windows: list, line_no: int, what: str) -> None:
 def parse_tree(text: str) -> TrajectoryTree:
     """Parse and fully validate a trajectory-set document.  A validation
     fault is reported at the line that introduced its node or family."""
-    tree: Optional[TrajectoryTree] = None
+    header: Optional[tuple[Fraction, int]] = None  # (s0, horizon)
     declared: dict[str, int] = {}
     node_lines: dict[str, int] = {}
     fam_lines: dict[str, int] = {}
@@ -117,11 +117,13 @@ def parse_tree(text: str) -> TrajectoryTree:
     for line_no, toks in _tokenize(text):
         kind = toks[0]
         if kind == "tree":
-            if tree is not None:
+            if header is not None:
                 raise ParseError("duplicate tree header", line_no)
             s0 = _parse_rat(_kv(toks[1:], "s0", line_no), line_no)
             horizon = _parse_int(_kv(toks[1:], "horizon", line_no), line_no)
-            tree = TrajectoryTree(s0, horizon)
+            if horizon < 0:
+                raise ParseError("horizon must be >= 0", line_no)
+            header = s0, horizon
         elif kind == "node":
             if len(toks) < 3:
                 raise ParseError("node line needs an id and t=", line_no)
@@ -140,11 +142,11 @@ def parse_tree(text: str) -> TrajectoryTree:
             pending.append((line_no, toks))
         else:
             raise ParseError(f"unknown directive {kind!r}", line_no)
-    if tree is None:
+    if header is None:
         raise ParseError("missing tree header", 1)
     if root_id is None:
         raise ParseError("no node declared at t=0", 1)
-    tree = TrajectoryTree(tree.root_value, tree.horizon, root_id=root_id)
+    tree = TrajectoryTree(*header, root_id=root_id)
 
     seen_edges: set[str] = set()
     # attach children breadth-first so parents exist before their children

@@ -9,9 +9,10 @@ continuation up to the horizon.  All arithmetic is exact rational.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .poly import (
     Poly,
@@ -94,8 +95,7 @@ class TrajectoryTree:
             root_id: Node(root_id, 0, self.root_value)
         }
         self.families: dict[str, Family] = {}
-        self._analysis_cache = None
-        self._levels: Optional[dict[int, list[Node]]] = None
+        self._memo: dict[str, Any] = {}
         self._validated = False
 
     # -- construction -------------------------------------------------------
@@ -134,9 +134,15 @@ class TrajectoryTree:
         p.families.append(fid)
         return fid
 
+    def memo(self, key: str, build: Callable[["TrajectoryTree"], Any]) -> Any:
+        """``build(self)``, computed on the first call for ``key`` and kept
+        until the tree next grows."""
+        if key not in self._memo:
+            self._memo[key] = build(self)
+        return self._memo[key]
+
     def _touch(self):
-        self._analysis_cache = None
-        self._levels = None
+        self._memo = {}
         self._validated = False
 
     # -- lookups -------------------------------------------------------------
@@ -163,12 +169,7 @@ class TrajectoryTree:
         return self._node(fam.parent).value + fam.increment(n)
 
     def nodes_at_time(self, t: int) -> list[Node]:
-        if self._levels is None:
-            # one index per tree shape, dropped by _touch like the analysis
-            self._levels = {}
-            for nd in sorted(self.nodes.values(), key=lambda nd: nd.nid):
-                self._levels.setdefault(nd.time, []).append(nd)
-        return list(self._levels.get(t, ()))
+        return list(self.memo("levels", _levels).get(t, ()))
 
     def internal_nodes(self) -> list[Node]:
         return sorted(
@@ -296,6 +297,13 @@ class TrajectoryTree:
         )
 
 
+def _levels(tree: TrajectoryTree) -> dict[int, list[Node]]:
+    levels: dict[int, list[Node]] = {}
+    for nd in sorted(tree.nodes.values(), key=lambda nd: nd.nid):
+        levels.setdefault(nd.time, []).append(nd)
+    return levels
+
+
 def _members_at(fam: Family, v: Fraction) -> list[int]:
     """The members of fam whose increment is exactly v, in increasing order."""
     diff = fam.poly.shift(-v)
@@ -311,6 +319,23 @@ def _members_at(fam: Family, v: Fraction) -> list[int]:
 
 
 Piece = tuple[int, Optional[int], Poly]
+
+
+def overlay_pieces(
+    a: Sequence[tuple], b: Sequence[tuple], op: Callable[[Any, Any], Poly]
+) -> list[Piece]:
+    """``(lo, hi, op(x, y))`` on every nonempty meet of a piece ``(.., x)`` of
+    ``a`` with a piece ``(.., y)`` of ``b``, in ``a``-then-``b`` order.
+
+    The one place member pieces are combined: with ``b = [(lo, hi, None)]``
+    and ``op = lambda x, _: x`` it clips ``a`` to the window ``[lo, hi]``."""
+    out: list[Piece] = []
+    for a_lo, a_hi, x in a:
+        for b_lo, b_hi, y in b:
+            meet = intersect_ranges((a_lo, a_hi), (b_lo, b_hi))
+            if meet is not None:
+                out.append((*meet, op(x, y)))
+    return out
 
 
 def member_cover_gap(fam: Family, pieces: Sequence[Piece]) -> str:
@@ -410,15 +435,10 @@ def add_payoffs(tree: TrajectoryTree, f: PayoffSpec, g: PayoffSpec) -> PayoffSpe
             node_values[k] = MINUS_INF
         else:
             node_values[k] = a + b
-    fam_values: dict[str, tuple[Piece, ...]] = {}
-    for fid in f.family_values:
-        pieces: list[Piece] = []
-        for lo_a, hi_a, pa in f.family_values[fid]:
-            for lo_b, hi_b, pb in g.family_values[fid]:
-                meet = intersect_ranges((lo_a, hi_a), (lo_b, hi_b))
-                if meet is not None:
-                    pieces.append((*meet, pa + pb))
-        fam_values[fid] = tuple(sorted(pieces))
+    fam_values = {
+        fid: tuple(sorted(overlay_pieces(pieces, g.family_values[fid], operator.add)))
+        for fid, pieces in f.family_values.items()
+    }
     out = PayoffSpec(f.maturity, node_values, fam_values)
     out.validate(tree)
     return out
@@ -480,6 +500,11 @@ def sign_segments(poly: Poly, lo: int, hi: Optional[int]):
             for n in range(start, end + 1):
                 segs.append((n, n, poly.at_index(n) >= 0))
     return _merge_segments(segs)
+
+
+def nonneg_windows(poly: Poly, lo: int, hi: Optional[int]) -> list[NRange]:
+    """The maximal runs of sign_segments where poly is >= 0 on the grid."""
+    return [(s_lo, s_hi) for s_lo, s_hi, nonneg in sign_segments(poly, lo, hi) if nonneg]
 
 
 def _merge_segments(segs):
@@ -632,14 +657,9 @@ def first_time_value_geq(tree: TrajectoryTree, threshold) -> StoppingTime:
         parent_val = tree.node(fam.parent).value
         # members with value >= threshold: exact integer windows
         shifted = fam.poly.shift(parent_val - threshold)
-        for lo, hi in _nonneg_windows(shifted, fam.n0):
+        for lo, hi in nonneg_windows(shifted, fam.n0, None):
             fam_marks.append((fam.fid, birth, lo, hi))
     return StoppingTime(frozenset(node_marks), tuple(fam_marks))
-
-
-def _nonneg_windows(poly: Poly, n0: int) -> list[NRange]:
-    segs = sign_segments(poly, n0, None)
-    return [(lo, hi) for lo, hi, nonneg in segs if nonneg]
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +816,6 @@ def piece_grid(f: ProcessSequence, fid: str, j: int, birth: int) -> list[NRange]
     return out
 
 
-
 def member_diff(f: ProcessSequence, fid: str, j: int, lo: int, hi: Optional[int]):
     """(f_{j+1} - f_j) on members of fid in [lo, hi], as refined pieces, or
     None while the family is not yet born at j + 1."""
@@ -804,21 +823,16 @@ def member_diff(f: ProcessSequence, fid: str, j: int, lo: int, hi: Optional[int]
     birth = tree.family_birth(fid)
     if j + 1 <= tree.horizon and j + 1 < birth:
         return None
-    out = []
+    window = [(lo, hi, None)]
     if j < birth:
         # previous value is the parent's node value at time j
         prev_const = f[j].node_values[tree.ancestor_at(tree.family(fid).parent, j)]
-        for p_lo, p_hi, poly in f[j + 1].family_values[fid]:
-            meet = intersect_ranges((p_lo, p_hi), (lo, hi))
-            if meet is not None:
-                out.append((*meet, poly.shift(-prev_const)))
-        return out
-    for p_lo, p_hi, poly_next in f[j + 1].family_values[fid]:
-        for q_lo, q_hi, poly_prev in f[j].family_values[fid]:
-            meet = intersect_ranges((p_lo, p_hi), (q_lo, q_hi), (lo, hi))
-            if meet is not None:
-                out.append((*meet, poly_next - poly_prev))
-    return out
+        return overlay_pieces(
+            f[j + 1].family_values[fid], window, lambda p, _: p.shift(-prev_const)
+        )
+    nxt = overlay_pieces(f[j + 1].family_values[fid], window, lambda p, _: p)
+    return overlay_pieces(nxt, f[j].family_values[fid], operator.sub)
+
 
 def uniform_positions(tree: TrajectoryTree, value) -> HedgeSequence:
     """Constant positions at every explicit node and family continuation."""

@@ -423,38 +423,40 @@ def intersect_ranges(
     return lo, hi
 
 
+def split_ranges(
+    runs: list[tuple[int, Optional[int]]], cuts: Iterable[tuple[int, Optional[int]]]
+) -> tuple[list[tuple[int, Optional[int]]], list[tuple[int, Optional[int]]]]:
+    """Split the members of the ranges ``runs`` by the ranges ``cuts``.
+
+    Returns ``(taken, left)``: the ranges each cut takes, in turn, from what
+    the earlier cuts left, in cut order; and the ranges no cut takes."""
+    taken: list[tuple[int, Optional[int]]] = []
+    for cut in cuts:
+        out: list[tuple[int, Optional[int]]] = []
+        for r_lo, r_hi in runs:
+            meet = intersect_ranges((r_lo, r_hi), cut)
+            if meet is None:
+                out.append((r_lo, r_hi))
+                continue
+            m_lo, m_hi = meet
+            if m_lo > r_lo:
+                out.append((r_lo, m_lo - 1))
+            taken.append(meet)
+            if m_hi is not None and (r_hi is None or m_hi < r_hi):
+                out.append((m_hi + 1, r_hi))
+        runs = out
+    return taken, runs
+
+
 def subtract_ranges(
     runs: list[tuple[int, Optional[int]]], cuts: Iterable[tuple[int, Optional[int]]]
 ) -> list[tuple[int, Optional[int]]]:
     """Members of the ranges ``runs`` outside every range of ``cuts``, as ranges."""
-    for lo, hi in cuts:
-        out: list[tuple[int, Optional[int]]] = []
-        for r_lo, r_hi in runs:
-            if (hi is not None and hi < r_lo) or (r_hi is not None and lo > r_hi):
-                out.append((r_lo, r_hi))
-                continue
-            if lo > r_lo:
-                out.append((r_lo, lo - 1))
-            if hi is not None and (r_hi is None or hi < r_hi):
-                out.append((hi + 1, r_hi))
-        runs = out
-    return runs
+    return split_ranges(runs, cuts)[1]
 
 
 def ranges_excluding(
     n_lo: int, n_hi: Optional[int], excluded: Sequence[int]
 ) -> list[tuple[int, Optional[int]]]:
     """Split [n_lo, n_hi] into maximal runs avoiding the excluded members."""
-    runs: list[tuple[int, Optional[int]]] = []
-    start = n_lo
-    for n in sorted(set(excluded)):
-        if n < start or (n_hi is not None and n > n_hi):
-            continue
-        if n > start:
-            runs.append((start, n - 1))
-        start = n + 1
-    if n_hi is None:
-        runs.append((start, None))
-    elif start <= n_hi:
-        runs.append((start, n_hi))
-    return runs
+    return subtract_ranges([(n_lo, n_hi)], [(n, n) for n in excluded])

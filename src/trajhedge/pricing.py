@@ -57,7 +57,7 @@ from .model import (
     abs_payoff,
     member_diff,
 )
-from .poly import Poly, grid_member_above, grid_summary, rat_str
+from .poly import Poly, grid_member_above, grid_summary, rat_str, split_ranges
 
 MAX_ROUNDS = 200  # a guard on the exchange loop, never an answer (see solve_step)
 
@@ -779,23 +779,10 @@ def indicator_payoff(tree: TrajectoryTree, event: EventSet) -> PayoffSpec:
         if event.covers_path(tree, fam.parent):
             fam_values[fid] = ((fam.n0, None, Poly.constant(1)),)
             continue
-        pieces: list[Piece] = []
-        ones = sorted(event.member_ranges(fid))
-        cursor = fam.n0
-        for lo, hi in ones:
-            lo = max(lo, cursor)
-            if hi is not None and lo > hi:
-                continue
-            if lo > cursor:
-                pieces.append((cursor, lo - 1, Poly.constant(0)))
-            pieces.append((lo, hi, Poly.constant(1)))
-            if hi is None:
-                cursor = None
-                break
-            cursor = hi + 1
-        if cursor is not None:
-            pieces.append((cursor, None, Poly.constant(0)))
-        fam_values[fid] = tuple(pieces)
+        ones, zeros = split_ranges([(fam.n0, None)], event.member_ranges(fid))
+        pieces = [(*r, Poly.constant(1)) for r in ones]
+        pieces += [(*r, Poly.constant(0)) for r in zeros]
+        fam_values[fid] = tuple(sorted(pieces, key=lambda p: p[0]))
     spec = PayoffSpec(t, node_values, fam_values)
     spec.validate(tree)
     return spec

@@ -43,6 +43,9 @@ DEFAULT_TARGETS = [
     "pricing:_tail",
     "pricing:ScanGroup.violation",
     "pricing:_family_constraints",
+    "poly:split_ranges",
+    "model:overlay_pieces",
+    "analysis:_straddles",
 ]
 
 FLIP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),

@@ -1,7 +1,9 @@
 """``decomposition.verify_decomposition`` as it stood while it carried hedge
 gains and the compensator down the tree in ``Fraction`` arithmetic.
 
-A verbatim copy, with its helper ``_gains_and_compensator``.
+A verbatim copy, with its helpers ``_gains_and_compensator`` and
+``_add_increments`` (the latter as the library had it before member pieces
+were combined by ``model.overlay_pieces``).
 ``test_decomposition.py`` compares today's verifier, which checks each edge's
 residual as one integer identity, against it on generated and tampered
 decompositions.
@@ -11,14 +13,14 @@ from fractions import Fraction
 from typing import Optional
 
 from trajhedge.analysis import analyze
-from trajhedge.decomposition import Decomposition, _add_increments, _alive_windows
+from trajhedge.decomposition import Decomposition, _alive_windows
 from trajhedge.model import (
     ProcessSequence,
     TrajectoryTree,
     member_cover_gap,
     restrict_piece,
 )
-from trajhedge.poly import Poly, grid_member_above, grid_summary
+from trajhedge.poly import Poly, grid_member_above, grid_summary, intersect_ranges
 
 
 def verify_decomposition(
@@ -140,3 +142,14 @@ def _gains_and_compensator(tree, d: Decomposition, covered: set[str]):
             comp[child] = comp[node.nid] + d.alphas[node.time].node_values[child]
             stack.append(tree.node(child))
     return gains, comp
+
+
+def _add_increments(pieces, increments):
+    """Member compensator pieces plus one period's increment pieces."""
+    refined: list[tuple[int, Optional[int], Poly]] = []
+    for lo, hi, acc in pieces:
+        for p_lo, p_hi, inc_poly in increments:
+            meet = intersect_ranges((lo, hi), (p_lo, p_hi))
+            if meet is not None:
+                refined.append((*meet, acc + inc_poly))
+    return sorted(refined)

@@ -133,6 +133,32 @@ def test_h2_fails_for_root_type_ii():
     assert "time 0" in a.h2.witnesses[0]
 
 
+def test_an_attained_zero_increment_straddles():
+    # the only kept move at or below 0 is z's exact 0: H2 (around the
+    # sure-win m) and H4 (at the good root) both hold
+    t = TrajectoryTree(0, 2, "r")
+    for nid, inc, moves in (("z", 0, (1, -1)), ("p", 1, (1, -1)), ("m", -1, (1, 2))):
+        t.add_child("r", inc, nid)
+        for k, move in enumerate(moves):
+            t.add_child(nid, move, f"{nid}{k}")
+    a = analyze(t)
+    assert a.node_class["m"] is NodeClass.ARBITRAGE_II and not a.good["m"]
+    assert a.h2.holds and a.h4.holds
+
+
+def test_a_family_limit_at_zero_straddles():
+    # example 6.2 mirrored: the sure-win d is the only move down, and the
+    # members' increments 1/n reach 0 only in the limit
+    t = TrajectoryTree(0, 2, "r")
+    t.add_child("r", -1, "d")
+    t.add_child("d", -1, "d0")
+    t.add_child("d", -2, "d1")
+    t.add_family("r", Poly.parse("0,1"), 1)
+    a = analyze(t)
+    assert a.l_holds["r"] and not a.l_holds["d"]
+    assert a.h2.holds
+
+
 def test_h1_counterexample_explicit():
     # only sibling at-or-above the failing child is the failing child itself
     t = TrajectoryTree(0, 2)

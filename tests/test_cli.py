@@ -527,11 +527,13 @@ BINARY = ["tree s0=0 horizon=1", "node r t=0", "child r inc=1 -> a", "child r in
          "node 'b' at time 1 has no children"),
         (BINARY + ["node z t=1"], 5, "declared node 'z' never attached"),
         (BINARY + ["family r poly=0,1 n0=1"], 5, "collides with member n=1"),
+        (["tree s0=0 horizon=-1"] + BINARY[1:], 1, "horizon must be >= 0"),
     ],
-    ids=["duplicate-increment", "early-leaf", "unattached-node", "family-collision"],
+    ids=["duplicate-increment", "early-leaf", "unattached-node", "family-collision",
+         "negative-horizon"],
 )
 def test_tree_fault_line(capsys, tmp_path, lines, line, fault):
-    # reported at the line that introduced the node or family at fault
+    # reported at the line that introduced the header, node or family at fault
     bad = tmp_path / "tree.txt"
     bad.write_text("\n".join(lines) + "\n")
     rc, _, err = run(capsys, "analyze", str(bad))

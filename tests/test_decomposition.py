@@ -104,6 +104,25 @@ def test_zero_compensator_increment_verifies():
     assert verify_decomposition(t, f, d) == (True, "")
 
 
+def test_exception_windows_with_one_start_decompose():
+    # at the arbitrage-I root the null cover takes members 2.. of fu, and the
+    # process climbs on members 2..5: two exception windows start at n=2
+    t = TrajectoryTree(0, 2, "r")
+    t.add_child("r", 0, "z")
+    t.add_family("r", Poly.parse("0,-1"), 2, "fu")
+    t.add_child("z", 1, "zu")
+    t.add_child("z", -1, "zd")
+    f = ProcessSequence(t, [
+        PayoffSpec(0, {"r": Q(0)}),
+        PayoffSpec(1, {"z": Q(0)}, {"fu": ((2, None, Poly.constant(0)),)}),
+        PayoffSpec(2, {"zu": Q(0), "zd": Q(0)},
+                   {"fu": ((2, 5, Poly.constant(1)), (6, None, Poly.constant(0)))}),
+    ])
+    d = doob_decompose(t, f, [Q(1, 10), Q(1, 10)])
+    assert d.exception_set.atoms_sorted() == ["family fu 2-5,2-inf"]
+    assert verify_decomposition(t, f, d) == (True, "")
+
+
 def test_zero_slack_fails_verification():
     t, f = _two_child_martingale()
     hedge = HedgeSequence()

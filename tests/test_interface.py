@@ -1,7 +1,7 @@
 """No module of the library imports or reads another module's underscore
-names: what a second module needs is public in the module that owns it, so
-each private name can change without reading another module.  Read from the
-source with ``ast``."""
+names, nor another object's underscore attributes: what a second module
+needs is public in the module that owns it, so each private name can change
+without reading another module.  Read from the source with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -89,3 +89,50 @@ def test_no_module_borrows_another_modules_private_names():
         path.name: borrowed_names(path.read_text()) for path in sorted(SRC.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+ATTRIBUTE_CALLS = ("getattr", "setattr", "hasattr", "delattr")
+
+
+def foreign_private_attributes(source: str) -> list[str]:
+    """Underscore attributes (``x._y``) that a module reads or writes on an
+    object other than ``self`` or ``cls``: by attribute access, or by
+    ``getattr``/``setattr``/``hasattr``/``delattr`` with a literal name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            owner, name = node.value, node.attr
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ATTRIBUTE_CALLS and len(node.args) >= 2 \
+                and isinstance(node.args[1], ast.Constant) \
+                and isinstance(node.args[1].value, str):
+            owner, name = node.args[0], node.args[1].value
+        else:
+            continue
+        if _private(name) and not (isinstance(owner, ast.Name) and owner.id in ("self", "cls")):
+            found.append(f"{ast.unparse(owner)}.{name}")
+    return sorted(found)
+
+
+def test_the_guard_sees_foreign_private_attributes():
+    source = (
+        # the two forms of a module-owned cache on another module's object
+        "cached = getattr(tree, '_analysis_cache', None)\n"
+        "tree._analysis_cache = analysis\n"
+        "setattr(node, '_seen', True)\n"
+        "x = a.b._c + hasattr(y, '_d')\n"
+        # allowed: own attributes, dunders, public names, computed names
+        "def m(self, cls, other):\n"
+        "    return self._x, cls._y, getattr(self, '_z'), other.__class__, \\\n"
+        "        other.public, getattr(other, name), setattr(self, '_w', 1)\n"
+    )
+    assert foreign_private_attributes(source) == [
+        "a.b._c", "node._seen", "tree._analysis_cache", "tree._analysis_cache", "y._d"]
+
+
+def test_no_module_reads_another_objects_private_attributes():
+    found = {
+        path.name: foreign_private_attributes(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: attrs for name, attrs in found.items() if attrs} == {}

@@ -53,6 +53,12 @@ def test_parse_single_constant_trajectory():
     assert t.node("only").is_leaf
 
 
+def test_negative_horizon_is_a_parse_error_at_the_header():
+    with pytest.raises(ParseError, match="horizon must be >= 0") as exc:
+        parse_tree("# a comment first\ntree s0=1 horizon=-1\nnode r t=0\n")
+    assert exc.value.line_no == 2
+
+
 def test_nodes_at_time_follows_growth():
     t = TrajectoryTree(0, 2, "r")
     t.add_child("r", 1, "b")

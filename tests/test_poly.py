@@ -23,6 +23,8 @@ from trajhedge.poly import (
     ranges_excluding,
     rat_str,
     root_integer_neighbors,
+    split_ranges,
+    subtract_ranges,
 )
 
 small_rat = st.fractions(
@@ -157,6 +159,36 @@ def test_intersect_ranges_matches_member_sets():
             lo, hi = meet
             assert lo == min(common)
             assert hi == (None if all(h is None for _, h in rs) else max(common))
+
+
+def test_split_ranges_matches_member_sets():
+    # each cut takes, as disjoint nonempty ranges, exactly the members of the
+    # runs that no earlier cut took; what is left is the rest.  Members up to
+    # 14 stand for an unbounded range, which stays unbounded exactly when no
+    # cut bounds it
+    def members(ranges):
+        out = [n for lo, hi in ranges for n in range(lo, 15 if hi is None else hi + 1)]
+        assert len(out) == len(set(out)) and all(hi is None or lo <= hi for lo, hi in ranges)
+        return set(out)
+
+    bounds = [(lo, hi) for lo in range(1, 7) for hi in [None, *range(lo, 7)]]
+    for runs in ([(2, None)], [(1, 2), (4, 5)], [(3, 3), (5, None)]):
+        for cuts in itertools.product(bounds, repeat=2):
+            taken, left = split_ranges(runs, cuts)
+            assert left == subtract_ranges(runs, cuts)
+            rest = members(runs)
+            for k, cut in enumerate(cuts):
+                before = len(split_ranges(runs, cuts[:k])[0])
+                step = split_ranges(runs, cuts[: k + 1])[0]
+                assert step[:before] == split_ranges(runs, cuts[:k])[0]
+                assert members(step[before:]) == rest & members([cut])
+                rest -= members([cut])
+            assert members(left) == rest
+            assert members(taken) | rest == members(runs)
+            assert any(hi is None for _, hi in left) == (
+                any(hi is None for _, hi in runs)
+                and not any(hi is None for _, hi in cuts)
+            )
 
 
 # ---------------------------------------------------------------------------
