@@ -25,10 +25,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .model import Node, TrajectoryTree
+from .model import ZERO, Node, TrajectoryTree
 from .poly import grid_summary, ranges_excluding, rat_str, subtract_ranges
 
 NRange = tuple[int, Optional[int]]
+StepRow = tuple[Fraction, str, str]  # (increment, child id, "node:<child id>")
 
 
 class NodeClass(Enum):
@@ -206,16 +207,23 @@ class IncrementSummary:
         return not self.has_pos
 
 
+# every leaf's summary: it has no increments (a frozen value, so one serves all)
+_LEAF_SUMMARY = IncrementSummary(False, False, (), (), ZERO, ZERO)
+
+
 def _increment_summary(tree: TrajectoryTree, node: Node) -> IncrementSummary:
+    if node.is_leaf:
+        return _LEAF_SUMMARY
     has_pos = has_neg = False
     zero_children: list[str] = []
     zero_members: list[tuple[str, int]] = []
     bounds: list[Fraction] = []
     for inc, child in node.children:
         bounds.append(inc)
-        if inc > 0:
+        # a Fraction's denominator is positive: its numerator carries the sign
+        if inc.numerator > 0:
             has_pos = True
-        elif inc < 0:
+        elif inc.numerator < 0:
             has_neg = True
         else:
             zero_children.append(child)
@@ -226,11 +234,21 @@ def _increment_summary(tree: TrajectoryTree, node: Node) -> IncrementSummary:
         has_neg = has_neg or s.has_neg
         zero_members.extend((fid, n) for n in s.zeros)
         bounds.extend([s.inf_cl, s.sup_cl])
-    inf_cl = min(bounds) if bounds else Fraction(0)
-    sup_cl = max(bounds) if bounds else Fraction(0)
-    return IncrementSummary(
+    return IncrementSummary(  # a node that is no leaf has a bound
         has_pos, has_neg, tuple(sorted(zero_children)),
-        tuple(sorted(zero_members)), inf_cl, sup_cl,
+        tuple(sorted(zero_members)), min(bounds), max(bounds),
+    )
+
+
+def _step_rows(node: Node, s: IncrementSummary) -> tuple[StepRow, ...]:
+    """The explicit children that enter the node's one-step problem, by id,
+    each with its constraint label.  Where every increment at the node has
+    one weak sign, a strict move with that sign is a harvested cylinder
+    (cheap one-sided positions win on it) and is dropped."""
+    return tuple(
+        (inc, child, f"node:{child}")
+        for inc, child in sorted(node.children, key=lambda c: c[1])
+        if not (s.plus_ray and inc.numerator > 0 or s.minus_ray and inc.numerator < 0)
     )
 
 
@@ -263,6 +281,8 @@ class Analysis:
 
     tree: TrajectoryTree
     summaries: dict[str, IncrementSummary]
+    # each node's explicit children that enter its one-step problem
+    step_children: dict[str, tuple[StepRow, ...]]
     node_class: dict[str, NodeClass]
     l_holds: dict[str, bool]
     good: dict[str, bool]
@@ -305,10 +325,12 @@ def analyze(tree: TrajectoryTree) -> Analysis:
 def _analyze(tree: TrajectoryTree) -> Analysis:
     tree.validate()
     summaries: dict[str, IncrementSummary] = {}
+    step_children: dict[str, tuple[StepRow, ...]] = {}
     node_class: dict[str, NodeClass] = {}
     for nd in tree.nodes.values():
         s = _increment_summary(tree, nd)
         summaries[nd.nid] = s
+        step_children[nd.nid] = _step_rows(nd, s)
         node_class[nd.nid] = _classify(s, nd.is_leaf)
 
     l_holds = _continuity_status(tree, summaries, node_class)
@@ -316,7 +338,8 @@ def _analyze(tree: TrajectoryTree) -> Analysis:
     cover = _null_cover(tree, node_class, summaries)
 
     analysis = Analysis(
-        tree, summaries, node_class, l_holds, good, cover, cover.fully_covered_nodes(tree),
+        tree, summaries, step_children, node_class, l_holds, good, cover,
+        cover.fully_covered_nodes(tree),
         h1=Verdict(True), h2=Verdict(True), h3=Verdict(True),
         h4=Verdict(True), h5=Verdict(True), l_ae=Verdict(True),
     )
@@ -455,7 +478,7 @@ def _null_cover(tree, node_class, summaries) -> EventSet:
             ev.add(NodeAtom(nd.nid))
         if cls in (NodeClass.ARBITRAGE_I, NodeClass.ARBITRAGE_II):
             for inc, child in nd.children:
-                if inc != 0:
+                if inc.numerator != 0:
                     ev.add(NodeAtom(child))
             for fid in nd.families:
                 fam = tree.family(fid)
@@ -480,13 +503,13 @@ def _straddles(tree: TrajectoryTree, node: Node, keep: Callable[[str], bool]) ->
     below = above = False
     for inc, child in node.children:
         if keep(child):
-            below = below or inc <= 0
-            above = above or inc >= 0
+            below = below or inc.numerator <= 0
+            above = above or inc.numerator >= 0
     for fid in node.families:
         fam = tree.family(fid)
         s = grid_summary(fam.poly, fam.n0, None)
-        below = below or s.inf_cl <= 0
-        above = above or s.sup_cl >= 0
+        below = below or s.inf_cl.numerator <= 0
+        above = above or s.sup_cl.numerator >= 0
     return below and above
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .poly import rat
 
@@ -165,8 +165,7 @@ def minimize(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LPResult:
 # one-dimensional min-max kernel
 
 
-@dataclass(frozen=True)
-class AffinePiece:
+class AffinePiece(NamedTuple):
     """One constraint V >= value - h * slope of the one-step program."""
 
     slope: Fraction  # the price increment

@@ -25,6 +25,7 @@ from .poly import (
 
 MINUS_INF = float("-inf")
 PLUS_INF = float("inf")
+ZERO = Fraction(0)  # shared: a Fraction is immutable
 
 Value = Union[Fraction, float]  # float only ever holds +-inf markers
 NRange = tuple[int, Optional[int]]
@@ -222,24 +223,30 @@ class TrajectoryTree:
                     nid=nd.nid,
                 )
             self._check_child_distinctness(nd)
-        # path consistency: value = root + sum of increments
+        # path consistency: value = root + sum of increments, checked as
+        # a/b == c/d + e/f over positive denominators: a*d*f == b*(c*f + e*d)
         for nd in self.nodes.values():
             if nd.parent is not None:
                 p = self._node(nd.parent)
-                if nd.value != p.value + nd.inc_from_parent:
+                a, b = nd.value.numerator, nd.value.denominator
+                c, d = p.value.numerator, p.value.denominator
+                e, f = nd.inc_from_parent.numerator, nd.inc_from_parent.denominator
+                if a * d * f != b * (c * f + e * d):
                     raise ModelError(f"value inconsistency at {nd.nid!r}", nid=nd.nid)
                 if nd.time != p.time + 1:
                     raise ModelError(f"time inconsistency at {nd.nid!r}", nid=nd.nid)
         self._validated = True
 
     def _check_child_distinctness(self, nd: Node) -> None:
-        incs: dict[Fraction, str] = {}
+        # keyed by lowest terms, so that no Fraction is hashed
+        incs: set[tuple[int, int]] = set()
         for inc, child in nd.children:  # a repeat is reported at the later child
-            if inc in incs:
+            key = (inc.numerator, inc.denominator)
+            if key in incs:
                 raise ModelError(f"duplicate increment at node {nd.nid!r}", nid=child)
-            incs[inc] = child
+            incs.add(key)
         fam_objs = [self.families[f] for f in nd.families]
-        for e in incs:
+        for e, _ in nd.children:
             for fam in fam_objs:
                 hits = _members_at(fam, e)
                 if hits:
@@ -377,6 +384,12 @@ class PayoffSpec:
         for nd in tree.nodes_at_time(self.maturity):
             if nd.nid not in self.node_values:
                 raise ModelError(f"payoff misses node {nd.nid!r} at maturity")
+        for nid, v in self.node_values.items():
+            if not (isinstance(v, Fraction) or (type(v) is float and v == MINUS_INF)):
+                raise ModelError(
+                    f"payoff value at node {nid!r} is neither an exact rational nor -inf",
+                    nid=nid,
+                )
         for fam in tree.families_born_by(self.maturity):
             pieces = self.family_values.get(fam.fid)
             if not pieces:
@@ -392,7 +405,8 @@ class PayoffSpec:
 
     def is_nonnegative(self, tree: TrajectoryTree) -> bool:
         for v in self.node_values.values():
-            if v == MINUS_INF or (isinstance(v, Fraction) and v < 0):
+            # a float value is only ever the -inf marker (see validate)
+            if type(v) is float or v.numerator < 0:
                 return False
         for fid, pieces in self.family_values.items():
             for lo, hi, poly in pieces:
@@ -564,7 +578,7 @@ class HedgeSequence:
         self.entries[(t, nid)] = rat(value)
 
     def at(self, t: int, nid: str) -> Fraction:
-        return self.entries.get((t, nid), Fraction(0))
+        return self.entries.get((t, nid), ZERO)
 
     def items(self):
         return sorted(self.entries.items())
@@ -644,7 +658,12 @@ class StoppingTime:
         return None
 
     def member_windows(self, fid: str):
-        return sorted((t, lo, hi) for (f, t, lo, hi) in self.family_marks if f == fid)
+        """The ``(time, lo, hi)`` marks of ``fid``, by time, then start, then
+        end, an unbounded end last."""
+        return sorted(
+            ((t, lo, hi) for (f, t, lo, hi) in self.family_marks if f == fid),
+            key=lambda w: (w[0], w[1], w[2] is None, w[2] or 0),
+        )
 
 
 def first_time_value_geq(tree: TrajectoryTree, threshold) -> StoppingTime:
@@ -792,7 +811,7 @@ def supermartingale_transform(
 def _member_d(d: HedgeSequence, fid: str, time: int) -> Fraction:
     # positions inside a constant continuation multiply zero price increments,
     # but they do scale the transform; member-level D entries default to 0
-    return d.entries.get((time, fid), Fraction(0))
+    return d.entries.get((time, fid), ZERO)
 
 
 def piece_grid(f: ProcessSequence, fid: str, j: int, birth: int) -> list[NRange]:

@@ -45,6 +45,7 @@ from .analysis import Analysis, EventSet, IncrementSummary, analyze
 from .lp import AffinePiece, MinMaxResult, min_max_affine
 from .model import (
     MINUS_INF,
+    ZERO,
     Family,
     HedgeSequence,
     Node,
@@ -168,11 +169,6 @@ class StepResult:
     problem: Optional[StepProblem] = field(default=None, compare=False, repr=False)
 
 
-def _harvested(s: IncrementSummary, inc: Fraction) -> bool:
-    """Is the move a harvested cylinder (one-sided increments at the node)?"""
-    return (s.plus_ray and inc > 0) or (s.minus_ray and inc < 0)
-
-
 def _build_step_problem(
     tree: TrajectoryTree,
     analysis: Analysis,
@@ -180,18 +176,16 @@ def _build_step_problem(
     child_values: dict[str, PriceValue],
     family_pieces: dict[str, Sequence[Piece]],
 ) -> StepProblem:
-    node = tree.node(nid)
-    s = analysis.summaries[nid]
     fixed: list[AffinePiece] = []
-    for inc, child in sorted(node.children, key=lambda c: c[1]):
+    for inc, child, label in analysis.step_children[nid]:
         v = child_values[child]
         # a float child value is only ever the -inf marker
-        if type(v) is float or _harvested(s, inc):
-            continue
-        fixed.append(AffinePiece(inc, v, f"node:{child}"))
+        if type(v) is not float:
+            fixed.append(AffinePiece(inc, v, label))
+    node = tree.node(nid)
     if not node.families:
         return StepProblem(fixed, [])
-    members, groups = _family_constraints(tree, s, node, family_pieces)
+    members, groups = _family_constraints(tree, analysis.summaries[nid], node, family_pieces)
     return StepProblem(fixed + members, groups)
 
 
@@ -324,7 +318,7 @@ def _exchange(problem: StepProblem) -> StepResult:
         res = min_max_affine(problem.fixed)
         if res.drift:
             return _drift_exit(problem, res.drift)
-        if res.value == MINUS_INF:
+        if type(res.value) is float:  # the -inf marker
             return StepResult(MINUS_INF, False, None, [], [], "no surviving constraints")
         return _attained(res)
     working: list[AffinePiece] = list(problem.fixed)
@@ -334,7 +328,7 @@ def _exchange(problem: StepProblem) -> StepResult:
 
     res: MinMaxResult = min_max_affine(working)
     for _ in range(MAX_ROUNDS):
-        if res.value == MINUS_INF and not res.drift:
+        if type(res.value) is float and not res.drift:  # the -inf marker
             return StepResult(MINUS_INF, False, None, [], [], "no surviving constraints")
         if res.drift:
             # the working set is one-sided; after its blocker it never is again
@@ -518,14 +512,14 @@ def _backward(
         if not floored and analysis.l_fails(nid):
             table[nid] = _NodeEval(MINUS_INF, False, None, [], "continuity from below fails")
         elif node.time >= f.maturity:
-            site = tree.ancestor_at(nid, f.maturity)
+            site = nid if node.time == f.maturity else tree.ancestor_at(nid, f.maturity)
             v = f.node_values[site]
             if not floored:
-                table[nid] = _NodeEval(v, v != MINUS_INF, Fraction(0), [f"payoff:{site}"])
+                table[nid] = _NodeEval(v, type(v) is not float, ZERO, [f"payoff:{site}"])
             elif analysis.good[nid]:
                 table[nid] = _NodeEval(v, True, None, [f"payoff:{site}"])
             else:
-                table[nid] = _NodeEval(Fraction(0), True, None, [])
+                table[nid] = _NodeEval(ZERO, True, None, [])
         else:
             levels[node.time].append(node)
             stack.extend(child for _, child in node.children)
@@ -539,9 +533,11 @@ def _backward(
             if not floored:
                 attained = step.attained and all(table[c].attained for c in step.tight_children)
             else:
-                value, h, attained = value if value > 0 else Fraction(0), None, True
+                # a float value is only ever the -inf marker
+                positive = type(value) is not float and value.numerator > 0
+                value, h, attained = value if positive else ZERO, None, True
                 problem = step.problem
-                if problem.groups or any(p.slope != 0 for p in problem.fixed):
+                if problem.groups or any(p.slope.numerator != 0 for p in problem.fixed):
                     # Floored, only harvest waives a child: no child value is
                     # -inf.  A harvest node keeps no moving child and only
                     # zero-increment members, so a step that moves wealth is
@@ -568,9 +564,10 @@ def sigma_bar(
     hedge = HedgeSequence()
     for sub in tree.subtree(nid):
         e = table.get(sub)
-        if e is not None and e.h is not None and not tree.node(sub).is_leaf:
-            if tree.node(sub).time < f.maturity:
-                hedge.set(tree.node(sub).time, sub, e.h)
+        if e is not None and e.h is not None:
+            node = tree.node(sub)
+            if not node.is_leaf and node.time < f.maturity:
+                hedge.set(node.time, sub, e.h)
     strategy = None
     if top.attained and isinstance(top.value, Fraction):
         strategy = SimpleStrategy(
@@ -619,7 +616,9 @@ def tower_check(
 def check_integrable(tree: TrajectoryTree, f: PayoffSpec, j: int = 0) -> bool:
     """Outer and inner prices of f agree at time j off the null cover."""
     analysis = analyze(tree)
-    neg = f.map_values(lambda v: -v)
+    # a float value is only ever the -inf marker, and stays one: the step
+    # waives a child valued -inf under either sign
+    neg = f.map_values(lambda v: v if type(v) is float else -v)
     for nd in tree.nodes_at_time(j):
         if analysis.fully_covered(nd.nid):
             continue
@@ -733,8 +732,7 @@ def i_bar(
         h = table[node.nid].h
         if h is not None:
             hedge.set(node.time, node.nid, h)
-        s = analysis.summaries[node.nid]
-        stack.extend(child for inc, child in node.children if not _harvested(s, inc))
+        stack.extend(child for _, child, _ in analysis.step_children[node.nid])
     strategy = SimpleStrategy(top.value, hedge, start_time=start.time, start_node=nid)
     note = "model value (aggregated nonnegative-strategy program)"
     return PriceResult(top.value, True, strategy, top.active, note)

@@ -46,6 +46,10 @@ DEFAULT_TARGETS = [
     "poly:split_ranges",
     "model:overlay_pieces",
     "analysis:_straddles",
+    "model:TrajectoryTree.validate",
+    "analysis:_increment_summary",
+    "analysis:_step_rows",
+    "model:PayoffSpec.is_nonnegative",
 ]
 
 FLIP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),

@@ -12,6 +12,7 @@ from trajhedge.fileformat import (
     render_tree,
 )
 from trajhedge.model import (
+    MINUS_INF,
     HedgeSequence,
     ModelError,
     PayoffSpec,
@@ -138,6 +139,33 @@ def test_explicit_family_collision_rejected():
         parse_tree(doc)
 
 
+def test_direct_edits_fail_validation():
+    def tree():
+        t = TrajectoryTree(Q(1, 3), 1)
+        t.add_child(t.root, Q(1, 2), "a")
+        t.add_child(t.root, Q(-2, 5), "b")
+        return t
+
+    tree().validate()  # 1/3 + 1/2 == 5/6 and 1/3 - 2/5 == -1/15
+    t = tree()
+    t.node("a").value = Q(5, 7)
+    with pytest.raises(ModelError, match="value inconsistency at 'a'") as err:
+        t.validate()
+    assert err.value.nid == "a"
+    t = tree()
+    t.node("b").inc_from_parent = Q(-2, 3)
+    with pytest.raises(ModelError, match="value inconsistency at 'b'"):
+        t.validate()
+    t = tree()  # a consistent edit of both still validates
+    t.node("b").value, t.node("b").inc_from_parent = Q(2, 3), Q(1, 3)
+    t.validate()
+    t = tree()
+    t.add_child(t.root, Q(4, 8), "c")  # the increment of 'a' in other terms
+    with pytest.raises(ModelError, match="duplicate increment at node 'root'") as err:
+        t.validate()
+    assert err.value.nid == "c"
+
+
 def test_dangling_internal_node_rejected():
     doc = "tree s0=0 horizon=2\nnode r t=0\nnode a t=1\nchild r inc=1 -> a\n"
     with pytest.raises(ParseError, match="no children"):
@@ -161,6 +189,29 @@ def test_payoff_round_trip(tree_6_2, payoff_6_2_f):
     assert render_payoff(again) == render_payoff(payoff_6_2_f)
     assert payoff_6_2_f.value_at_member("down", 3) == Q(1, 3)
     assert payoff_6_2_f.value_at_node("u") == 0
+
+
+@pytest.mark.parametrize(
+    "bad", [2.0, 0.5, 2, "2", float("inf")], ids=["float", "half", "int", "str", "inf"]
+)
+def test_payoff_rejects_non_rational_node_values(bad):
+    from trajhedge.pricing import i_bar_backward, sigma_bar
+
+    t = TrajectoryTree(0, 1)
+    t.add_child(t.root, 1, "u")
+    t.add_child(t.root, -1, "d")
+    spec = PayoffSpec(1, {"u": bad, "d": Q(0)})
+    with pytest.raises(ModelError, match="value at node 'u' is neither") as err:
+        spec.validate(t)
+    assert err.value.nid == "u"
+    with pytest.raises(ModelError, match="value at node 'root' is neither"):
+        PayoffSpec(1, {"u": Q(1), "d": Q(0), "root": bad}).validate(t)
+    for op in (sigma_bar, i_bar_backward):
+        with pytest.raises(ModelError, match="value at node 'u'"):
+            op(t, spec)
+    # the -inf marker stays a payoff value
+    PayoffSpec(1, {"u": MINUS_INF, "d": Q(0)}).validate(t)
+    assert sigma_bar(t, PayoffSpec(1, {"u": Q(2), "d": Q(0)})).value == 1
 
 
 def test_payoff_coverage_checked(tree_6_2):
@@ -216,6 +267,14 @@ def test_wealth_before_start_rejected(tree_6_2):
 
 # ---------------------------------------------------------------------------
 # stopping and transforms
+
+
+def test_member_windows_sort_by_time_start_then_end():
+    tau = StoppingTime(family_marks=(
+        ("f", 1, 2, None), ("f", 1, 2, 5), ("g", 0, 1, 1), ("f", 0, 7, None), ("f", 1, 1, 9),
+    ))
+    assert tau.member_windows("f") == [(0, 7, None), (1, 1, 9), (1, 2, 5), (1, 2, None)]
+    assert tau.member_windows("g") == [(0, 1, 1)]
 
 
 def test_stopped_process_trivial_rules(process_6_2_b, tree_6_2):

@@ -28,8 +28,10 @@ from trajhedge.pricing import (
 )
 
 import reference_family
+import reference_step
 from conftest import corpus_text
 from gen import (
+    VAL_POOL,
     random_arbitrage_free_tree,
     random_family_tree,
     random_h3_tree,
@@ -220,6 +222,8 @@ def test_sigma_bar_payoff_carries_minus_inf(tree_6_2, payoff_6_2_f):
     assert spec.node_values["u"] == MINUS_INF
     r = sigma_bar(tree_6_2, spec)
     assert r.value == 0
+    # negating it keeps the -inf marker: both prices waive the null node u
+    assert check_integrable(tree_6_2, spec, 0) and check_integrable(tree_6_2, spec, 1)
 
 
 def test_constant_payoff_elementary_pricing():
@@ -373,6 +377,55 @@ def test_scan_groups_match_the_expanded_rows(seed, monkeypatch):
             _same_result(a, b, expanded)
         else:
             assert a == b
+
+
+# ---------------------------------------------------------------------------
+# step rows derived once per tree against the per-call rule they replaced
+
+
+def _mirrored(tree: TrajectoryTree) -> TrajectoryTree:
+    """The tree with every increment negated: plus-ray nodes turn minus-ray."""
+    out = TrajectoryTree(-tree.root_value, tree.horizon, tree.root)
+    for nd in sorted(tree.nodes.values(), key=lambda n: (n.time, n.nid)):
+        for inc, child in nd.children:
+            out.add_child(nd.nid, -inc, child)
+        for fid in nd.families:
+            fam = tree.family(fid)
+            out.add_family(nd.nid, -fam.poly, fam.n0, fid)
+    return out
+
+
+def test_step_rows_match_the_per_call_rule():
+    makers = (random_arbitrage_free_tree, random_h3_tree, random_family_tree,
+              random_no_measure_tree)
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(8):
+        for make in makers:
+            tree = make(rng)
+            for t in (tree, _mirrored(tree)):
+                analysis = analyze(t)
+                for nd in t.internal_nodes():
+                    # children where continuity from below fails continue at -inf
+                    values = {
+                        child: MINUS_INF if analysis.l_fails(child) else rng.choice(VAL_POOL)
+                        for _, child in nd.children
+                    }
+                    pieces = {
+                        fid: ((t.family(fid).n0, None, Poly.constant(rng.choice(VAL_POOL))),)
+                        for fid in nd.families
+                    }
+                    new = pricing._build_step_problem(t, analysis, nd.nid, values, pieces)
+                    old = reference_step._build_step_problem(t, analysis, nd.nid, values, pieces)
+                    assert new.fixed == old.fixed  # slope, value, label, in order
+                    assert new.groups == old.groups
+                    s = analysis.summaries[nd.nid]
+                    for inc, child in nd.children:
+                        if type(values[child]) is float:
+                            seen.add("-inf")
+                        if reference_step._harvested(s, inc):
+                            seen.add("plus ray" if inc > 0 else "minus ray")
+    assert seen == {"-inf", "plus ray", "minus ray"}
 
 
 # ---------------------------------------------------------------------------
