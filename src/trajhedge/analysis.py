@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .model import ZERO, Node, TrajectoryTree
+from .model import Node, TrajectoryTree
 from .poly import grid_summary, ranges_excluding, rat_str, subtract_ranges
 
 NRange = tuple[int, Optional[int]]
@@ -102,8 +102,10 @@ class EventSet:
 
         Equals ``{nid for nid in tree.nodes if self.covers_path(tree, nid)}``:
         coverage is carried from parent to child instead of re-walking each
-        path from the root."""
+        path from the root; with no node atom there is nothing to carry."""
         out: set[str] = set()
+        if not self.node_atoms:
+            return out
         stack = [(tree.root, False)]
         while stack:
             nid, above = stack.pop()
@@ -116,8 +118,11 @@ class EventSet:
     def fully_covered_nodes(self, tree: TrajectoryTree) -> set[str]:
         """Every explicit node whose path is covered, or below which every
         path meets a node atom and every family on the way has all its
-        members covered; decided bottom-up in one pass over the levels."""
+        members covered; decided bottom-up in one pass over the levels.  Family
+        atoms alone can fully cover a node, so only an empty set skips it."""
         out = self.covered_nodes(tree)
+        if self.is_empty():
+            return out
         for t in range(tree.horizon - 1, -1, -1):
             for nd in tree.nodes_at_time(t):
                 if nd.nid in out or nd.is_leaf:
@@ -184,14 +189,13 @@ class EventSet:
 
 @dataclass(frozen=True)
 class IncrementSummary:
-    """Exact sign/closure facts about all one-step increments at a node."""
+    """Exact sign facts about all one-step increments at a node, and the
+    increments that are zero."""
 
     has_pos: bool
     has_neg: bool
     zero_children: tuple[str, ...]  # explicit children with increment 0
     zero_members: tuple[tuple[str, int], ...]  # (fid, n) attaining increment 0
-    inf_cl: Fraction
-    sup_cl: Fraction
 
     @property
     def zero_attained(self) -> bool:
@@ -208,7 +212,7 @@ class IncrementSummary:
 
 
 # every leaf's summary: it has no increments (a frozen value, so one serves all)
-_LEAF_SUMMARY = IncrementSummary(False, False, (), (), ZERO, ZERO)
+_LEAF_SUMMARY = IncrementSummary(False, False, (), ())
 
 
 def _increment_summary(tree: TrajectoryTree, node: Node) -> IncrementSummary:
@@ -217,9 +221,7 @@ def _increment_summary(tree: TrajectoryTree, node: Node) -> IncrementSummary:
     has_pos = has_neg = False
     zero_children: list[str] = []
     zero_members: list[tuple[str, int]] = []
-    bounds: list[Fraction] = []
     for inc, child in node.children:
-        bounds.append(inc)
         # a Fraction's denominator is positive: its numerator carries the sign
         if inc.numerator > 0:
             has_pos = True
@@ -233,10 +235,8 @@ def _increment_summary(tree: TrajectoryTree, node: Node) -> IncrementSummary:
         has_pos = has_pos or s.has_pos
         has_neg = has_neg or s.has_neg
         zero_members.extend((fid, n) for n in s.zeros)
-        bounds.extend([s.inf_cl, s.sup_cl])
-    return IncrementSummary(  # a node that is no leaf has a bound
-        has_pos, has_neg, tuple(sorted(zero_children)),
-        tuple(sorted(zero_members)), min(bounds), max(bounds),
+    return IncrementSummary(
+        has_pos, has_neg, tuple(sorted(zero_children)), tuple(sorted(zero_members))
     )
 
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .analysis import EventSet, FamilyAtom, NodeAtom, NodeClass, analyze
 from .model import (
+    ZERO,
     HedgeSequence,
     PayoffSpec,
     Piece,
@@ -24,6 +25,7 @@ from .model import (
     QueryError,
     SimpleStrategy,
     TrajectoryTree,
+    exceeds,
     member_cover_gap,
     member_diff,
     nonneg_windows,
@@ -92,7 +94,7 @@ def _violation_nodes(tree: TrajectoryTree, f: ProcessSequence, steps: StepMemo):
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf:
                 continue
-            if steps.step(nd.nid).value > f[j].node_values[nd.nid]:
+            if exceeds(steps.step(nd.nid).value, f[j].node_values[nd.nid]):
                 out.add(nd.nid)
     return out
 
@@ -167,7 +169,7 @@ def doob_decompose(
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf:
                 continue
-            h = Fraction(0)
+            h = ZERO
             healthy = analysis.node_class[nd.nid] is NodeClass.UP_DOWN
             if healthy and nd.nid not in covered:
                 target = f[j].node_values[nd.nid] + deltas[j]
@@ -229,13 +231,14 @@ def _from_hedge(
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf:
                 continue
-            h = hedge.at(j, nd.nid)
-            # alpha = (f_j + delta_j) + h * inc - f_{j+1}, one Fraction per child
-            q = f[j].node_values[nd.nid] + deltas[j]
-            qn, qd, hn, hd = q.numerator, q.denominator, h.numerator, h.denominator
+            h, fv, dj = hedge.at(j, nd.nid), f[j].node_values[nd.nid], deltas[j]
+            # alpha = (f_j + delta_j) + h * inc - f_{j+1}, one Fraction per child,
+            # from f_j + delta_j = qn / qd over the product of the denominators
+            qn = fv.numerator * dj.denominator + dj.numerator * fv.denominator
+            qd, hn, hd = fv.denominator * dj.denominator, h.numerator, h.denominator
             for inc, child in nd.children:
                 if child in covered:
-                    alpha_nodes[child] = Fraction(0)
+                    alpha_nodes[child] = ZERO
                     continue
                 v = f[j + 1].node_values[child]
                 gd = hd * inc.denominator
@@ -245,10 +248,10 @@ def _from_hedge(
                     qd * gd * v.denominator,
                 )
             for fid in nd.families:
-                fam = tree.family(fid)
+                gain = tree.family(fid).poly.scale(h).shift(fv + dj)
                 pieces: list[Piece] = []
                 for lo, hi, vpoly in f[j + 1].family_values[fid]:
-                    alpha_poly = fam.poly.scale(h).shift(q) - vpoly
+                    alpha_poly = gain - vpoly
                     pieces.extend(
                         _mask_exceptions(
                             tree, exceptions, covered, fid, lo, hi, alpha_poly
@@ -306,7 +309,8 @@ def verify_decomposition(
                 continue
             if nd.nid not in alpha.node_values:
                 return False, f"missing compensator increment at {nd.nid!r}"
-            if alpha.node_values[nd.nid] < 0:
+            a = alpha.node_values[nd.nid]
+            if type(a) is float or a.numerator < 0:  # a float is only the -inf marker
                 return False, f"negative compensator increment at {nd.nid!r}"
         for fam in tree.families_born_by(j + 1):
             if fam.fid not in alpha.family_values:
@@ -342,8 +346,10 @@ def verify_decomposition(
             if nd.nid in covered:
                 continue
             if nd.parent not in terms:  # f_j(p) + delta_j and h_p, once per parent
-                q, h = fj[nd.parent] + d.deltas[j], d.hedge.at(j, nd.parent)
-                terms[nd.parent] = (q.numerator, q.denominator, h.numerator, h.denominator)
+                fp, dj, h = fj[nd.parent], d.deltas[j], d.hedge.at(j, nd.parent)
+                qn = fp.numerator * dj.denominator + dj.numerator * fp.denominator
+                qd = fp.denominator * dj.denominator
+                terms[nd.parent] = (qn, qd, h.numerator, h.denominator)
             qn, qd, hn, hd = terms[nd.parent]
             inc, v, a = nd.inc_from_parent, fi[nd.nid], alpha[nd.nid]
             gd = hd * inc.denominator

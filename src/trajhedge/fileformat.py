@@ -15,7 +15,9 @@ Payoff documents::
 
 Process documents are a ``process horizon=<int>`` header followed by one
 payoff block per time.  Decomposition documents mirror the payoff format with
-``hedge``/``alpha``/``exception`` lines.  Rationals are written ``p/q``.
+``hedge``/``alpha``/``exception`` lines.  Rationals are written ``p`` or
+``p/q``: ``p`` an optionally signed run of ASCII digits, ``q`` an unsigned,
+nonzero one; any other literal is a ParseError at its line.
 ``#`` starts a comment.  Family ids default to ``<parent>.f<k>``.
 """
 
@@ -114,12 +116,13 @@ def parse_tree(text: str) -> TrajectoryTree:
     fam_lines: dict[str, int] = {}
     root_id: Optional[str] = None
     pending: list[tuple[int, list[str]]] = []
+    known: dict[str, Fraction] = {}  # each literal of the document, parsed once
     for line_no, toks in _tokenize(text):
         kind = toks[0]
         if kind == "tree":
             if header is not None:
                 raise ParseError("duplicate tree header", line_no)
-            s0 = _parse_rat(_kv(toks[1:], "s0", line_no), line_no)
+            s0 = _parse_rat(_kv(toks[1:], "s0", line_no), line_no, known)
             horizon = _parse_int(_kv(toks[1:], "horizon", line_no), line_no)
             if horizon < 0:
                 raise ParseError("horizon must be >= 0", line_no)
@@ -164,7 +167,7 @@ def parse_tree(text: str) -> TrajectoryTree:
             try:
                 if toks[0] == "child":
                     child = _after(toks, "->", line_no, "child line needs '->' target")
-                    inc = _parse_rat(_kv(toks[2:], "inc", line_no), line_no)
+                    inc = _parse_rat(_kv(toks[2:], "inc", line_no), line_no, known)
                     if child in seen_edges:
                         raise ParseError(f"node {child!r} has two parents", line_no)
                     seen_edges.add(child)
@@ -221,7 +224,7 @@ def render_tree(tree: TrajectoryTree) -> str:
 
 
 def parse_payoff(text: str, tree: TrajectoryTree) -> PayoffSpec:
-    spec, header, fam_lines = _parse_payoff_block(list(_tokenize(text)), tree)
+    spec, header, fam_lines = _parse_payoff_block(list(_tokenize(text)), tree, {})
     try:
         spec.validate(tree)
     except ModelError as exc:
@@ -230,11 +233,12 @@ def parse_payoff(text: str, tree: TrajectoryTree) -> PayoffSpec:
 
 
 def _parse_payoff_block(
-    lines, tree: TrajectoryTree
+    lines, tree: TrajectoryTree, known: dict[str, Fraction]
 ) -> tuple[PayoffSpec, int, dict[str, int]]:
     """The payoff of a block, unvalidated, with the line of its header and
     the first at-family line of each family: a family's cover fault is
-    reported at the latter, any other fault at the header."""
+    reported at the latter, any other fault at the header.  ``known`` holds
+    the literals its document has parsed."""
     maturity: Optional[int] = None
     header = 1
     node_values: dict[str, object] = {}
@@ -250,7 +254,7 @@ def _parse_payoff_block(
         elif kind == "at":
             if len(toks) < 4 or toks[2] != "=":
                 raise ParseError("expected: at <node-id> = <rational>", line_no)
-            val = MINUS_INF if toks[3] == "-inf" else _parse_rat(toks[3], line_no)
+            val = MINUS_INF if toks[3] == "-inf" else _parse_rat(toks[3], line_no, known)
             node_values[toks[1]] = val
         elif kind == "at-family":
             if len(toks) < 2:
@@ -299,7 +303,8 @@ def parse_process(text: str, tree: TrajectoryTree) -> ProcessSequence:
         if not blocks:
             raise ParseError("content before first payoff block", line_no)
         blocks[-1].append((line_no, toks))
-    parsed = [_parse_payoff_block(block, tree) for block in blocks]
+    known: dict[str, Fraction] = {}
+    parsed = [_parse_payoff_block(block, tree, known) for block in blocks]
     try:
         return ProcessSequence(tree, [spec for spec, _, _ in parsed])
     except ModelError as exc:
@@ -342,6 +347,7 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
     from .decomposition import Decomposition
 
     base = None
+    known: dict[str, Fraction] = {}
     deltas: list[Fraction] = []
     hedge = HedgeSequence()
     alphas: dict[int, dict] = {}
@@ -349,11 +355,11 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
     for line_no, toks in _tokenize(text):
         kind = toks[0]
         if kind == "decomposition":
-            base = _parse_rat(_kv(toks[1:], "base", line_no), line_no)
+            base = _parse_rat(_kv(toks[1:], "base", line_no), line_no, known)
         elif kind == "deltas":
             if len(toks) < 2:
                 raise ParseError("deltas line needs comma-separated slacks", line_no)
-            deltas = [_parse_rat(p, line_no) for p in toks[1].split(",")]
+            deltas = [_parse_rat(p, line_no, known) for p in toks[1].split(",")]
         elif kind == "hedge":
             t = _parse_int(_kv(toks[1:], "t", line_no), line_no)
             nid = _after(
@@ -363,7 +369,7 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
                 raise ParseError(f"hedge t={t} at {nid!r}: node not at time {t}", line_no)
             if (t, nid) in hedge.entries:
                 raise ParseError(f"second hedge t={t} at {nid!r}", line_no)
-            hedge.set(t, nid, _parse_rat(toks[-1], line_no))
+            hedge.set(t, nid, _parse_rat(toks[-1], line_no, known))
         elif kind == "alpha":
             t = _parse_int(_kv(toks[1:], "t", line_no), line_no)
             slot = alphas.setdefault(t, {"nodes": {}, "fams": {}})
@@ -380,7 +386,7 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
                     raise ParseError(f"alpha t={t} at {nid!r}: node not at time {t + 1}", line_no)
                 if nid in slot["nodes"]:
                     raise ParseError(f"second alpha t={t} at {nid!r}", line_no)
-                slot["nodes"][nid] = _parse_rat(toks[-1], line_no)
+                slot["nodes"][nid] = _parse_rat(toks[-1], line_no, known)
         elif kind == "exception":
             if len(toks) >= 3 and toks[1] == "node":
                 atoms.append(NodeAtom(_known_node(tree, toks[2], line_no).nid))
@@ -421,11 +427,17 @@ def parse_decomposition(text: str, tree: TrajectoryTree):
 # scalar helpers
 
 
-def _parse_rat(text: Optional[str], line_no: int) -> Fraction:
-    try:
-        return parse_rat(text or "")
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from exc
+def _parse_rat(text: Optional[str], line_no: int, known: dict[str, Fraction]) -> Fraction:
+    """A rational literal; ``known`` maps the literals already parsed in the
+    same document to their values, so each is parsed once."""
+    text = text or ""
+    q = known.get(text)
+    if q is None:
+        try:
+            q = known[text] = parse_rat(text)
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from exc
+    return q
 
 
 def _parse_int(text: Optional[str], line_no: int) -> int:

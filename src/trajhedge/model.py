@@ -31,6 +31,12 @@ Value = Union[Fraction, float]  # float only ever holds +-inf markers
 NRange = tuple[int, Optional[int]]
 
 
+def exceeds(v: Value, w: Fraction) -> bool:
+    """v > w for a rational w and a rational or -inf v, by integers: the
+    marker is tested by type, then the two fractions cross-multiplied."""
+    return type(v) is not float and v.numerator * w.denominator > w.numerator * v.denominator
+
+
 class QueryError(ValueError):
     """A query the library refuses: malformed or inconsistent input, an
     unverified hypothesis, or an exchange that did not close.  The CLI

@@ -13,6 +13,7 @@ of floating point.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,16 +36,16 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+# p or p/q: p optionally signed, q unsigned and nonzero, ASCII digits only
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def parse_rat(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` (optionally signed) into a Fraction."""
-    s = text.strip()
-    try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational literal {text!r}") from exc
+    """Parse ``p`` or ``p/q`` into a Fraction; any other text is a ValueError."""
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"bad rational literal {text!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def rat_str(q: Fraction) -> str:

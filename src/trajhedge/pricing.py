@@ -56,6 +56,7 @@ from .model import (
     SimpleStrategy,
     TrajectoryTree,
     abs_payoff,
+    exceeds,
     member_diff,
 )
 from .poly import Poly, grid_member_above, grid_summary, rat_str, split_ranges
@@ -377,8 +378,10 @@ def _exchange(problem: StepProblem) -> StepResult:
 
 def _attained(res: MinMaxResult) -> StepResult:
     """The step's answer from a final min-max round with a finite optimum."""
-    tight_children = [lbl.split(":", 1)[1] for lbl in res.tight if lbl.startswith("node:")]
-    return StepResult(res.value, True, res.h, tight_children, sorted(res.tight))
+    tight = res.tight
+    tight_children = [lbl[5:] for lbl in tight if lbl.startswith("node:")]
+    active = sorted(tight) if len(tight) > 1 else tight
+    return StepResult(res.value, True, res.h, tight_children, active)
 
 
 def _drift_exit(problem: StepProblem, direction: int) -> StepResult:
@@ -445,7 +448,7 @@ def feasible_position(step: StepResult, target: Fraction) -> Optional[Fraction]:
     problem = step.problem
     if not problem.fixed and not problem.groups:
         return Fraction(0)
-    if step.value > target:
+    if exceeds(step.value, target):
         return None
     if step.attained:
         return step.h
@@ -562,9 +565,8 @@ def sigma_bar(
     table = _backward(tree, f, analyze(tree), [nid], floored=False)
     top = table[nid]
     hedge = HedgeSequence()
-    for sub in tree.subtree(nid):
-        e = table.get(sub)
-        if e is not None and e.h is not None:
+    for sub, e in table.items():  # the nodes below nid that the pass reached
+        if e.h is not None:
             node = tree.node(sub)
             if not node.is_leaf and node.time < f.maturity:
                 hedge.set(node.time, sub, e.h)
@@ -686,7 +688,7 @@ def check_supermartingale(
         for nd in tree.nodes_at_time(j):
             if nd.is_leaf or analysis.fully_covered(nd.nid):
                 continue
-            if steps.step(nd.nid).value > f[j].node_values[nd.nid]:
+            if exceeds(steps.step(nd.nid).value, f[j].node_values[nd.nid]):
                 return False, nd.nid
         # member positions: the sequence itself must not climb along survivors
         for fam in tree.families_born_by(j):

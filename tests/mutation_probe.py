@@ -50,6 +50,12 @@ DEFAULT_TARGETS = [
     "analysis:_increment_summary",
     "analysis:_step_rows",
     "model:PayoffSpec.is_nonnegative",
+    "analysis:EventSet.covered_nodes",
+    "analysis:EventSet.fully_covered_nodes",
+    "pricing:check_supermartingale",
+    "decomposition:_violation_nodes",
+    "pricing:_attained",
+    "model:exceeds",
 ]
 
 FLIP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
@@ -82,6 +88,8 @@ EQUIVALENT = {
         "constant polynomials",
     "pricing:_tail:a > 0#1:>=":
         "the branch is reached only with a != 0",
+    "pricing:_attained:len(tight) > 1#1:>=":
+        "sorting a list of one label leaves it as it is",
 }
 
 

@@ -270,6 +270,34 @@ def test_event_set_algebra(tree_6_2):
     assert len(covered) == 8 and deep.covered_nodes(t) == covered
 
 
+def test_family_atoms_alone_fully_cover_a_family_only_node(tree_6_2):
+    # u's only branches are uptail's members: covering them all covers u
+    n0 = tree_6_2.family("uptail").n0
+    ev = EventSet([FamilyAtom("uptail", ((n0, None),))])
+    assert ev.covered_nodes(tree_6_2) == set()
+    assert ev.fully_covered_nodes(tree_6_2) == {"u"}
+
+
+def test_an_empty_event_set_reads_no_node(monkeypatch):
+    # nothing is covered without an atom: neither walk looks a node up
+    tree = random_arbitrage_free_tree(random.Random(5))
+    lookups = []
+    for name in ("node", "nodes_at_time", "path_to"):
+        real = getattr(TrajectoryTree, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            lookups.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(TrajectoryTree, name, counted)
+    ev = EventSet()
+    assert ev.covered_nodes(tree) == set() and ev.fully_covered_nodes(tree) == set()
+    assert lookups == []
+    # the count sees the walks that a node atom does need
+    assert EventSet([NodeAtom(tree.root)]).covered_nodes(tree) == set(tree.nodes)
+    assert lookups.count("node") == len(tree.nodes)
+
+
 def test_report_renders_deterministically(tree_6_2):
     a = analyze(tree_6_2)
     r1, r2 = render_report(a), render_report(a)

@@ -422,6 +422,23 @@ def test_only_pricing_builds_step_problems():
     assert builders == {"pricing.py"}
 
 
+@pytest.mark.parametrize("bad", ["1_0", "\u0661", "1/-2"])
+def test_off_grammar_rational_arguments_exit_2(capsys, tmp_path, tree_file, process_file, bad):
+    rc, out, err = run(capsys, "decompose", tree_file, process_file, "--delta", f"1/10,{bad}")
+    assert rc == 2 and out == "" and "argument --delta" in err, (rc, err)
+    explicit = tmp_path / "bin.txt"
+    explicit.write_text("tree s0=0 horizon=1\nnode r t=0\nchild r inc=1 -> a\n"
+                        "child r inc=-1 -> b\n")
+    payoff = tmp_path / "f.txt"
+    payoff.write_text("payoff maturity=1\nat a = 2\nat b = 0\n")
+    rc, out, err = run(capsys, "oracle", str(explicit), str(payoff), "--check", "grid",
+                       "--bound", bad)
+    assert rc == 2 and out == "" and "argument --bound" in err, (rc, err)
+    explicit.write_text(explicit.read_text().replace("inc=-1", f"inc={bad}"))
+    rc, out, err = run(capsys, "classify", str(explicit))
+    assert rc == 2 and out == "" and "line 4, col 1: bad rational literal" in err, err
+
+
 def test_malformed_tree_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("tree s0=1 horizon=1\nnode r t=0\nchild r inc=x -> a\n")

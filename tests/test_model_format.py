@@ -28,7 +28,7 @@ from trajhedge.model import (
     wealth,
     wealth_on_member,
 )
-from trajhedge.poly import Poly
+from trajhedge.poly import Poly, parse_rat
 
 from conftest import corpus_text
 
@@ -212,6 +212,62 @@ def test_payoff_rejects_non_rational_node_values(bad):
     # the -inf marker stays a payoff value
     PayoffSpec(1, {"u": MINUS_INF, "d": Q(0)}).validate(t)
     assert sigma_bar(t, PayoffSpec(1, {"u": Q(2), "d": Q(0)})).value == 1
+
+
+def test_each_literal_is_parsed_once_per_document(monkeypatch, tree_6_2):
+    import trajhedge.fileformat as fileformat
+
+    seen = []
+
+    def counted(text):
+        seen.append(text)
+        return parse_rat(text)
+
+    monkeypatch.setattr(fileformat, "parse_rat", counted)
+    parse_tree(corpus_text("example-6-2.txt"))  # s0=1 and inc=1
+    assert seen == ["1"]
+    process = corpus_text("process-6-2-b.txt")  # at r = 0 and at u = 0
+    parse_process(process, tree_6_2)
+    parse_process(process, tree_6_2)  # another document parses its own
+    assert seen == ["1", "0", "0"]
+
+
+# literals outside the p/q grammar, each with the value it was once read as
+OFF_GRAMMAR = [("1_0", "10"), ("\u0661", "1"), ("1/-2", "-1/2")]
+
+
+@pytest.mark.parametrize("bad,good", OFF_GRAMMAR, ids=["underscore", "arabic-indic", "signed-q"])
+def test_off_grammar_literals_fail_at_their_line(tree_6_2, bad, good):
+    tree = "tree s0=1 horizon=1\nnode r t=0\nchild r inc=-3 -> a\nchild r inc={} -> b\n"
+    process = corpus_text("process-6-2-b.txt")
+    cases = [
+        (lambda: parse_tree(tree.format(bad)), 4),
+        (lambda: parse_tree(tree.replace("s0=1", "s0=" + bad).format(1)), 1),
+        (lambda: parse_payoff(f"payoff maturity=1\nat u = {bad}\n", tree_6_2), 2),
+        (lambda: parse_process(process.replace("at u = 0", f"at u = {bad}"), tree_6_2), 5),
+    ]
+    for parse, line in cases:
+        with pytest.raises(ParseError, match="bad rational literal") as exc:
+            parse()
+        assert exc.value.line_no == line
+    # the same value written in the grammar parses
+    assert parse_tree(tree.format(good)).node("b").inc_from_parent == Q(good)
+
+
+@pytest.mark.parametrize("bad,good", OFF_GRAMMAR, ids=["underscore", "arabic-indic", "signed-q"])
+def test_a_repeated_bad_literal_fails_at_its_first_line(tree_6_2, bad, good):
+    # a literal parsed once per document: a good one of the same value does
+    # not let the bad text through, and the bad one fails where it first is
+    tree = (f"tree s0=1 horizon=1\nnode r t=0\nchild r inc={good} -> a\n"
+            f"child r inc=-7 -> b\nchild r inc={bad} -> c\nchild r inc={bad} -> d\n")
+    with pytest.raises(ParseError) as exc:
+        parse_tree(tree)
+    assert exc.value.line_no == 5
+    process = corpus_text("process-6-2-b.txt").replace("at r = 0", f"at r = {good}")
+    process = process.replace("at u = 0", f"at u = {bad}") + f"at u = {bad}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_process(process, tree_6_2)
+    assert exc.value.line_no == 5
 
 
 def test_payoff_coverage_checked(tree_6_2):

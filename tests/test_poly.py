@@ -49,6 +49,19 @@ def test_rational_round_trip():
         parse_rat("1/0")
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "1/-2", "1/+2", "1/00", " 1", "1 ", "1/",
+                                  "/2", "1.5", "+", "", "0x10", "\uff11"])
+def test_rational_literals_outside_the_grammar_are_rejected(text):
+    # [+-]?[0-9]+(/[0-9]+)? with a nonzero denominator, ASCII digits only
+    with pytest.raises(ValueError, match="bad rational literal"):
+        parse_rat(text)
+
+
+def test_rational_literals_of_the_grammar():
+    assert [parse_rat(t) for t in ("+7", "-0", "0/3", "12/008", "-6/4")] == [
+        7, 0, 0, Fraction(3, 2), Fraction(-3, 2)]
+
+
 def test_poly_basics():
     p = Poly.parse("0,0,-1")  # -t^2
     assert p.degree == 2

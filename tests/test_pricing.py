@@ -11,6 +11,7 @@ from trajhedge.model import MINUS_INF, PayoffSpec, TrajectoryTree, wealth, wealt
 from trajhedge.oracle import i_bar_lp
 from trajhedge.poly import Poly
 from trajhedge.pricing import (
+    StepMemo,
     _backward,
     check_integrable,
     check_supermartingale,
@@ -37,6 +38,7 @@ from gen import (
     random_h3_tree,
     random_no_measure_tree,
     random_payoff,
+    random_supermartingale,
 )
 from reference_pass import _i_bar_pass as reference_i_bar_pass
 from reference_pass import _sigma_pass as reference_sigma_pass
@@ -248,6 +250,18 @@ def test_sigma_certificate_dominates_on_random_trees():
             assert wealth(t, r.hedge, nd.nid) >= f.node_values[nd.nid]
 
 
+def test_sigma_hedge_holds_the_positions_before_maturity():
+    # one position per internal node below the start and before maturity
+    rng = random.Random(12)
+    for _ in range(6):
+        t = random_arbitrage_free_tree(rng)
+        f = random_payoff(rng, t, maturity=2)
+        for nid in (t.root, *(nd.nid for nd in t.nodes_at_time(1))):
+            below = [t.node(sub) for sub in t.subtree(nid)]
+            expect = {(nd.time, nd.nid) for nd in below if nd.time < 2 and not nd.is_leaf}
+            assert {key for key, _ in sigma_bar(t, f, nid).hedge.hedge.items()} == expect
+
+
 def test_supermartingale_check_rejects_increasing_constants():
     t = TrajectoryTree(0, 2)
     for a in ("u", "d"):
@@ -259,6 +273,51 @@ def test_supermartingale_check_rejects_increasing_constants():
     specs = [PayoffSpec.constant(t, j, Q(j)) for j in range(3)]
     ok, witness = check_supermartingale(t, ProcessSequence(t, specs))
     assert not ok and witness == t.root
+
+
+@pytest.mark.parametrize("make", [random_arbitrage_free_tree, random_h3_tree,
+                                  random_family_tree])
+def test_supermartingale_check_at_and_just_below_the_one_step_price(make):
+    # a running value equal to its one-step price passes; one 1/p below it,
+    # with p a large prime and so a denominator the price does not have,
+    # fails at that node, in the check and in the decomposition's violations
+    from trajhedge.decomposition import _violation_nodes
+
+    rng = random.Random(f"step-edge:{make.__name__}")
+    p = 1_000_003
+    checked = 0
+    for _ in range(4):
+        tree = make(rng)
+        f = random_supermartingale(rng, tree)
+        analysis, steps = analyze(tree), StepMemo(f)
+        for nd in tree.internal_nodes():
+            price = steps.step(nd.nid).value
+            if analysis.fully_covered(nd.nid) or price == MINUS_INF:
+                continue
+            values = f[nd.time].node_values
+            kept = values[nd.nid]
+            values[nd.nid] = price
+            assert check_supermartingale(tree, f) == (True, None)
+            assert _violation_nodes(tree, f, StepMemo(f)) == set()
+            values[nd.nid] = price - Q(1, p)
+            assert values[nd.nid].denominator != price.denominator
+            assert check_supermartingale(tree, f) == (False, nd.nid)
+            assert _violation_nodes(tree, f, StepMemo(f)) == {nd.nid}
+            values[nd.nid] = kept
+            checked += 1
+    assert checked >= 10
+
+
+def test_a_minus_inf_step_reports_no_violation(tree_lfail, process_lfail):
+    # continuity from below fails at u, which the null cover leaves uncovered:
+    # its one-step value is -inf, below any running value
+    from trajhedge.decomposition import _violation_nodes
+
+    assert not analyze(tree_lfail).fully_covered("u")
+    assert StepMemo(process_lfail).step("u").value == MINUS_INF
+    process_lfail[1].node_values["u"] = Q(-10**12, 7)
+    assert check_supermartingale(tree_lfail, process_lfail) == (True, None)
+    assert "u" not in _violation_nodes(tree_lfail, process_lfail, StepMemo(process_lfail))
 
 
 # ---------------------------------------------------------------------------
