@@ -30,8 +30,6 @@ from .model import (
     member_diff,
     nonneg_windows,
     overlay_pieces,
-    piece_grid,
-    restrict_piece,
     wealth,
     wealth_on_member,
 )
@@ -262,10 +260,8 @@ def _from_hedge(
             if fam.fid in alpha_fams:
                 continue
             pieces = []
-            for lo, hi in piece_grid(f, fam.fid, j + 1, tree.family_birth(fam.fid)):
-                nxt = restrict_piece(f[j + 1].family_values[fam.fid], lo, hi)
-                prv = restrict_piece(f[j].family_values[fam.fid], lo, hi)
-                alpha_poly = Poly.constant(deltas[j]) - (nxt - prv)
+            for lo, hi, diff in member_diff(f, fam.fid, j, fam.n0, None):
+                alpha_poly = Poly.constant(deltas[j]) - diff
                 pieces.extend(
                     _mask_exceptions(
                         tree, exceptions, covered, fam.fid, lo, hi, alpha_poly
@@ -371,12 +367,12 @@ def verify_decomposition(
                 d.alphas[j].family_values[fam.fid],
                 operator.add,
             ))
-            for lo, hi, a_poly in a_path:
+            for lo, hi, diff in overlay_pieces(
+                a_path, f[i].family_values[fam.fid], lambda a, v: base_gain - a - v
+            ):
+                if diff.is_zero():
+                    continue
                 for w_lo, w_hi in _alive_windows(d.exception_set, covered, fam, lo, hi):
-                    target = restrict_piece(f[i].family_values[fam.fid], w_lo, w_hi)
-                    diff = (base_gain - a_poly) - target
-                    if diff.is_zero():
-                        continue
                     s = grid_summary(diff, w_lo, w_hi)
                     if s.has_pos or s.has_neg:
                         return (

@@ -152,43 +152,42 @@ def parse_tree(text: str) -> TrajectoryTree:
     tree = TrajectoryTree(*header, root_id=root_id)
 
     seen_edges: set[str] = set()
-    # attach children breadth-first so parents exist before their children
-    remaining = list(pending)
-    progress = True
-    while remaining and progress:
-        progress = False
-        deferred = []
-        for line_no, toks in remaining:
-            parent = toks[1]
-            if parent not in tree.nodes:
-                deferred.append((line_no, toks))
-                continue
-            progress = True
-            try:
-                if toks[0] == "child":
-                    child = _after(toks, "->", line_no, "child line needs '->' target")
-                    inc = _parse_rat(_kv(toks[2:], "inc", line_no), line_no, known)
-                    if child in seen_edges:
-                        raise ParseError(f"node {child!r} has two parents", line_no)
-                    seen_edges.add(child)
-                    if child in declared and declared[child] != tree.nodes[parent].time + 1:
-                        raise ParseError(
-                            f"node {child!r} declared at t={declared[child]} but "
-                            f"attached at t={tree.nodes[parent].time + 1}",
-                            line_no,
-                        )
-                    tree.add_child(parent, inc, child)
-                    node_lines[child] = line_no
-                else:
-                    poly = _parse_poly(_kv(toks[2:], "poly", line_no), line_no)
-                    n0 = _parse_int(_kv(toks[2:], "n0", line_no), line_no)
-                    fid = _kv(toks[2:], "id", line_no, required=False)
-                    fam_lines[tree.add_family(parent, poly, n0, fid)] = line_no
-            except ModelError as exc:
-                raise ParseError(str(exc), line_no) from exc
-        remaining = deferred
-    if remaining:
-        line_no, toks = remaining[0]
+    # a line waits, under its parent's id, until that parent is attached;
+    # attaching a node releases its waiting lines in document order
+    waiting: dict[str, list[tuple[int, list[str]]]] = {}
+    ready = pending[::-1]  # a stack: the next line is on top
+    while ready:
+        line_no, toks = ready.pop()
+        parent = toks[1]
+        if parent not in tree.nodes:
+            waiting.setdefault(parent, []).append((line_no, toks))
+            continue
+        try:
+            if toks[0] == "child":
+                child = _after(toks, "->", line_no, "child line needs '->' target")
+                inc = _parse_rat(_kv(toks[2:], "inc", line_no), line_no, known)
+                if child in seen_edges:
+                    raise ParseError(f"node {child!r} has two parents", line_no)
+                seen_edges.add(child)
+                if child in declared and declared[child] != tree.nodes[parent].time + 1:
+                    raise ParseError(
+                        f"node {child!r} declared at t={declared[child]} but "
+                        f"attached at t={tree.nodes[parent].time + 1}",
+                        line_no,
+                    )
+                tree.add_child(parent, inc, child)
+                node_lines[child] = line_no
+                if child in waiting:
+                    ready.extend(reversed(waiting.pop(child)))
+            else:
+                poly = _parse_poly(_kv(toks[2:], "poly", line_no), line_no)
+                n0 = _parse_int(_kv(toks[2:], "n0", line_no), line_no)
+                fid = _kv(toks[2:], "id", line_no, required=False)
+                fam_lines[tree.add_family(parent, poly, n0, fid)] = line_no
+        except ModelError as exc:
+            raise ParseError(str(exc), line_no) from exc
+    if waiting:
+        line_no, toks = min(w for lines in waiting.values() for w in lines)
         raise ParseError(f"unreachable parent {toks[1]!r}", line_no)
 
     for nid, t in declared.items():

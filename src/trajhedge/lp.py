@@ -7,7 +7,7 @@ Two solvers live here:
   variables.  It serves the test oracle ``oracle.i_bar_lp``, which re-solves
   it from scratch each exchange round; each round's tableau grows by a row
   and its slack, so a family tree of 7 nodes with member windows of 68 and
-  78 bounded members already runs for minutes (ROADMAP item 4).
+  78 bounded members already runs for minutes (ROADMAP item 5).
 * ``min_max_affine`` - the one-step kernel's inner problem
   ``min_h max_i (v_i - h * d_i)`` solved in closed form via crossing pairs,
   including the unbounded directions.  It works on integers: each piece

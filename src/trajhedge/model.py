@@ -21,6 +21,7 @@ from .poly import (
     rat,
     rat_str,
     root_integer_neighbors,
+    split_ranges,
 )
 
 MINUS_INF = float("-inf")
@@ -721,48 +722,26 @@ def stopped_process(f: ProcessSequence, tau: StoppingTime) -> ProcessSequence:
 def _stopped_member_pieces(
     f: ProcessSequence, tau: StoppingTime, fid: str, j: int
 ) -> list[Piece]:
+    """f_{min(tau, j)} on the members of ``fid``.  The windows come by time,
+    so the first window that takes a member sets its stop time."""
     tree = f.tree
     fam = tree.family(fid)
-    windows = tau.member_windows(fid)
-    # stop time per member: piecewise over n-ranges
-    ranges: list[tuple[int, Optional[int], Optional[int]]] = [(fam.n0, None, None)]
-    for t, lo, hi in windows:
-        updated: list[tuple[int, Optional[int], Optional[int]]] = []
-        for r_lo, r_hi, r_t in ranges:
-            meet = intersect_ranges((r_lo, r_hi), (lo, hi))
-            if meet is None:
-                updated.append((r_lo, r_hi, r_t))
-                continue
-            inter_lo, inter_hi = meet
-            if r_lo < inter_lo:
-                updated.append((r_lo, inter_lo - 1, r_t))
-            updated.append((inter_lo, inter_hi, t if r_t is None else min(r_t, t)))
-            if inter_hi is not None and (r_hi is None or inter_hi < r_hi):
-                updated.append((inter_hi + 1, r_hi, r_t))
-        ranges = sorted(updated)
-    pieces: list[Piece] = []
-    for lo, hi, t in ranges:
-        k = j if t is None else min(t, j)
-        pieces.append(_member_piece_at(f, fid, k, lo, hi))
-    return pieces
-
-
-def _member_piece_at(f: ProcessSequence, fid: str, k: int, lo: int, hi: Optional[int]) -> Piece:
-    tree = f.tree
     birth = tree.family_birth(fid)
-    if k < birth:
-        anc = tree.ancestor_at(tree.family(fid).parent, k)
-        return (lo, hi, Poly.constant(f[k].node_values[anc]))
-    poly = restrict_piece(f[k].family_values[fid], lo, hi)
-    return (lo, hi, poly)
-
-
-def restrict_piece(pieces: tuple[Piece, ...], lo: int, hi: Optional[int]) -> Poly:
-    """Polynomial of the piece that covers the member range [lo, hi]."""
-    for p_lo, p_hi, poly in pieces:
-        if p_lo <= lo and (p_hi is None or (hi is not None and hi <= p_hi)):
-            return poly
-    raise ModelError("piece grids do not align")
+    running: list[NRange] = [(fam.n0, None)]
+    stops: list[tuple[int, NRange]] = []
+    for t, lo, hi in tau.member_windows(fid):
+        taken, running = split_ranges(running, [(lo, hi)])
+        stops.extend((t, r) for r in taken)
+    pieces: list[Piece] = []
+    for t, (lo, hi) in stops + [(j, r) for r in running]:
+        k = min(t, j)
+        if k < birth:
+            anc = tree.ancestor_at(fam.parent, k)
+            pieces.append((lo, hi, Poly.constant(f[k].node_values[anc])))
+        else:
+            clip = [(lo, hi, None)]
+            pieces += overlay_pieces(f[k].family_values[fid], clip, lambda p, _: p)
+    return sorted(pieces, key=lambda p: p[0])
 
 
 def supermartingale_transform(
@@ -798,17 +777,14 @@ def supermartingale_transform(
                     f[i + 1].node_values[parent_path[i + 1]]
                     - f[i].node_values[parent_path[i]]
                 )
-            pieces: list[Piece] = []
-            for lo, hi in piece_grid(f, fid, j, birth):
-                poly = Poly.constant(acc_const)
-                d_birth = d.at(birth - 1, fam.parent)
-                prev = Poly.constant(f[birth - 1].node_values[fam.parent])
-                for i in range(birth - 1, j):
-                    cur = restrict_piece(f[i + 1].family_values[fid], lo, hi)
-                    di = d_birth if i == birth - 1 else _member_d(d, fid, i)
-                    poly = poly + (cur - prev).scale(di)
-                    prev = cur
-                pieces.append((lo, hi, poly))
+            pieces = [(fam.n0, None, Poly.constant(acc_const))]
+            for i in range(birth - 1, j):
+                di = d.at(i, fam.parent) if i == birth - 1 else _member_d(d, fid, i)
+                pieces = overlay_pieces(
+                    pieces, member_diff(f, fid, i, fam.n0, None),
+                    lambda acc, diff: acc + diff.scale(di),
+                )
+            pieces.sort(key=lambda p: p[0])
             fam_values[fid] = tuple(pieces)
         out.append(PayoffSpec(j, node_values, fam_values))
     return ProcessSequence(tree, out)
@@ -818,27 +794,6 @@ def _member_d(d: HedgeSequence, fid: str, time: int) -> Fraction:
     # positions inside a constant continuation multiply zero price increments,
     # but they do scale the transform; member-level D entries default to 0
     return d.entries.get((time, fid), ZERO)
-
-
-def piece_grid(f: ProcessSequence, fid: str, j: int, birth: int) -> list[NRange]:
-    """Common refinement of the member ranges used by f_{birth..j} for fid."""
-    cuts: set[int] = set()
-    fam = f.tree.family(fid)
-    tops: list[Optional[int]] = []
-    for k in range(birth, j + 1):
-        for lo, hi, _ in f[k].family_values[fid]:
-            cuts.add(lo)
-            if hi is not None:
-                cuts.add(hi + 1)
-    cuts.add(fam.n0)
-    marks = sorted(cuts)
-    out: list[NRange] = []
-    for i, lo in enumerate(marks):
-        hi = marks[i + 1] - 1 if i + 1 < len(marks) else None
-        if hi is not None and hi < lo:
-            continue
-        out.append((lo, hi))
-    return out
 
 
 def member_diff(f: ProcessSequence, fid: str, j: int, lo: int, hi: Optional[int]):

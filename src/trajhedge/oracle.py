@@ -7,7 +7,7 @@ measures; both avoid the LP machinery and run on explicit trees.  The null
 operator's aggregated program, solved as one exact LP over the whole tree,
 is the reference for the backward ``i_bar`` on small trees, with families
 or without; member windows of a few dozen bounded members can make it run
-for minutes (ROADMAP item 4).
+for minutes (ROADMAP item 5).
 Agreement with the pricing module is asserted by the test suite; any
 mismatch is an engine bug, not a modeling discrepancy.
 """

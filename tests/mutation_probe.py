@@ -56,6 +56,9 @@ DEFAULT_TARGETS = [
     "decomposition:_violation_nodes",
     "pricing:_attained",
     "model:exceeds",
+    "model:_stopped_member_pieces",
+    "model:supermartingale_transform",
+    "decomposition:_from_hedge",
 ]
 
 FLIP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),

@@ -2,12 +2,15 @@
 combined family member windows with its own loop.
 
 Verbatim copies of ``model.add_payoffs``, ``model.member_diff``,
-``model._nonneg_windows``, ``decomposition._member_violation_ranges``,
+``model._nonneg_windows``, ``model.supermartingale_transform`` (with its
+helpers ``piece_grid`` and ``_member_d``),
+``decomposition._member_violation_ranges``,
 ``decomposition._positive_segments``, ``decomposition._mask_exceptions`` and
-``pricing.indicator_payoff``; ``decomposition._add_increments`` is the copy
-kept in ``reference_verify``.  ``test_pieces.py`` asserts that today's
-``poly.split_ranges`` and ``model.overlay_pieces`` callers return exactly
-the same piece tuples, boundaries included.
+``pricing.indicator_payoff``; ``decomposition._add_increments`` and
+``model.restrict_piece`` are the copies kept in ``reference_verify``.
+``test_pieces.py`` asserts that today's ``poly.split_ranges`` and
+``model.overlay_pieces`` callers return exactly the same piece tuples,
+boundaries included.
 """
 
 from fractions import Fraction
@@ -16,6 +19,8 @@ from typing import Optional
 from trajhedge.analysis import EventSet
 from trajhedge.model import (
     MINUS_INF,
+    ZERO,
+    HedgeSequence,
     ModelError,
     NRange,
     PayoffSpec,
@@ -28,6 +33,7 @@ from trajhedge.model import (
 from trajhedge.poly import Poly, grid_summary, intersect_ranges, ranges_excluding
 
 from reference_verify import _add_increments  # noqa: F401  (re-exported)
+from reference_verify import restrict_piece
 
 
 def add_payoffs(tree: TrajectoryTree, f: PayoffSpec, g: PayoffSpec) -> PayoffSpec:
@@ -169,3 +175,79 @@ def indicator_payoff(tree: TrajectoryTree, event: EventSet) -> PayoffSpec:
     spec = PayoffSpec(t, node_values, fam_values)
     spec.validate(tree)
     return spec
+
+
+def supermartingale_transform(
+    f: ProcessSequence, d: HedgeSequence
+) -> ProcessSequence:
+    """g_j = f_0 + sum_{i<j} D_i (f_{i+1} - f_i) for nonnegative positions D."""
+    tree = f.tree
+    for (_, _), v in d.items():
+        if v < 0:
+            raise ModelError("transform positions must be nonnegative")
+    base = f[0].node_values[tree.root]
+    out: list[PayoffSpec] = []
+    for j in range(tree.horizon + 1):
+        node_values: dict[str, Value] = {}
+        for nd in tree.nodes_at_time(j):
+            path = tree.path_to(nd.nid)
+            acc = base
+            for i in range(j):
+                di = d.at(i, path[i])
+                acc += di * (
+                    f[i + 1].node_values[path[i + 1]] - f[i].node_values[path[i]]
+                )
+            node_values[nd.nid] = acc
+        fam_values: dict[str, tuple[Piece, ...]] = {}
+        for fam in tree.families_born_by(j):
+            fid = fam.fid
+            birth = tree.family_birth(fid)
+            parent_path = tree.path_to(fam.parent)
+            acc_const = base
+            for i in range(birth - 1):
+                di = d.at(i, parent_path[i])
+                acc_const += di * (
+                    f[i + 1].node_values[parent_path[i + 1]]
+                    - f[i].node_values[parent_path[i]]
+                )
+            pieces: list[Piece] = []
+            for lo, hi in piece_grid(f, fid, j, birth):
+                poly = Poly.constant(acc_const)
+                d_birth = d.at(birth - 1, fam.parent)
+                prev = Poly.constant(f[birth - 1].node_values[fam.parent])
+                for i in range(birth - 1, j):
+                    cur = restrict_piece(f[i + 1].family_values[fid], lo, hi)
+                    di = d_birth if i == birth - 1 else _member_d(d, fid, i)
+                    poly = poly + (cur - prev).scale(di)
+                    prev = cur
+                pieces.append((lo, hi, poly))
+            fam_values[fid] = tuple(pieces)
+        out.append(PayoffSpec(j, node_values, fam_values))
+    return ProcessSequence(tree, out)
+
+
+def _member_d(d: HedgeSequence, fid: str, time: int) -> Fraction:
+    # positions inside a constant continuation multiply zero price increments,
+    # but they do scale the transform; member-level D entries default to 0
+    return d.entries.get((time, fid), ZERO)
+
+
+def piece_grid(f: ProcessSequence, fid: str, j: int, birth: int) -> list[NRange]:
+    """Common refinement of the member ranges used by f_{birth..j} for fid."""
+    cuts: set[int] = set()
+    fam = f.tree.family(fid)
+    tops: list[Optional[int]] = []
+    for k in range(birth, j + 1):
+        for lo, hi, _ in f[k].family_values[fid]:
+            cuts.add(lo)
+            if hi is not None:
+                cuts.add(hi + 1)
+    cuts.add(fam.n0)
+    marks = sorted(cuts)
+    out: list[NRange] = []
+    for i, lo in enumerate(marks):
+        hi = marks[i + 1] - 1 if i + 1 < len(marks) else None
+        if hi is not None and hi < lo:
+            continue
+        out.append((lo, hi))
+    return out

@@ -1,9 +1,10 @@
 """``decomposition.verify_decomposition`` as it stood while it carried hedge
 gains and the compensator down the tree in ``Fraction`` arithmetic.
 
-A verbatim copy, with its helpers ``_gains_and_compensator`` and
-``_add_increments`` (the latter as the library had it before member pieces
-were combined by ``model.overlay_pieces``).
+A verbatim copy, with its helpers ``_gains_and_compensator``,
+``_add_increments`` (as the library had it before member pieces were
+combined by ``model.overlay_pieces``) and ``restrict_piece`` (as the library
+had it before the verifier overlaid the compensator with the process pieces).
 ``test_decomposition.py`` compares today's verifier, which checks each edge's
 residual as one integer identity, against it on generated and tampered
 decompositions.
@@ -15,10 +16,11 @@ from typing import Optional
 from trajhedge.analysis import analyze
 from trajhedge.decomposition import Decomposition, _alive_windows
 from trajhedge.model import (
+    ModelError,
+    Piece,
     ProcessSequence,
     TrajectoryTree,
     member_cover_gap,
-    restrict_piece,
 )
 from trajhedge.poly import Poly, grid_member_above, grid_summary, intersect_ranges
 
@@ -153,3 +155,11 @@ def _add_increments(pieces, increments):
             if meet is not None:
                 refined.append((*meet, acc + inc_poly))
     return sorted(refined)
+
+
+def restrict_piece(pieces: tuple[Piece, ...], lo: int, hi: Optional[int]) -> Poly:
+    """Polynomial of the piece that covers the member range [lo, hi]."""
+    for p_lo, p_hi, poly in pieces:
+        if p_lo <= lo and (p_hi is None or (hi is not None and hi <= p_hi)):
+            return poly
+    raise ModelError("piece grids do not align")

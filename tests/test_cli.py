@@ -153,6 +153,25 @@ def test_decompose_flagship_document(capsys, tree_file, process_file):
     assert rc == 0 and out == FLAGSHIP_DECOMPOSITION
 
 
+def test_verify_decomp_on_split_process_pieces(capsys, tmp_path, tree_file, process_file):
+    # f_1's 'down' piece written as two pieces with one polynomial: the
+    # decomposition of the unsplit process, one alpha piece per family, holds
+    process = tmp_path / "split.txt"
+    process.write_text(Path(process_file).read_text().replace(
+        "at-family down poly=0,1\n",
+        "at-family down poly=0,1 to=5\nat-family down poly=0,1 from=6\n", 1,
+    ))
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(FLAGSHIP_DECOMPOSITION)
+    bad.write_text(FLAGSHIP_DECOMPOSITION.replace(
+        "alpha t=1 at-family down poly=1/10 ", "alpha t=1 at-family down poly=1/5 "
+    ))
+    rc, out, _ = run(capsys, "verify-decomp", tree_file, str(process), str(good))
+    assert (rc, out) == (0, "PASS\n")
+    rc, out, _ = run(capsys, "verify-decomp", tree_file, str(process), str(bad))
+    assert (rc, out) == (1, "FAIL: reconstruction fails on 'down' members 1..None time 2\n")
+
+
 @pytest.mark.parametrize("document, line, edited", [
     ("decomposition", "alpha t=0 at u = 0", "alpha t=0 at u = -inf"),
     ("decomposition", "alpha t=0 at u = 0", "alpha t=0 at u = inf"),

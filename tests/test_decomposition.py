@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -535,6 +536,70 @@ def test_verifier_matches_fraction_reference():
         "negative compensator increment", "reconstruction fails at",
         "reconstruction fails on",
     }, verdicts
+
+
+def _recut(rng, pieces, merge):
+    """The same member values on other pieces: neighbours with equal
+    polynomials merged, or pieces cut at random members."""
+    out = []
+    for lo, hi, poly in sorted(pieces, key=lambda p: p[0]):
+        if merge and out and out[-1][2] == poly:
+            out[-1] = (out[-1][0], hi, poly)
+        elif not merge and (hi is None or hi > lo) and rng.random() < 0.7:
+            cut = lo + rng.randint(0, 5 if hi is None else hi - lo - 1)
+            out += [(lo, cut, poly), (cut + 1, hi, poly)]
+        else:
+            out.append((lo, hi, poly))
+    return tuple(out)
+
+
+def _recut_specs(rng, specs, merge):
+    return [
+        PayoffSpec(s.maturity, dict(s.node_values),
+                   {fid: _recut(rng, p, merge) for fid, p in s.family_values.items()})
+        for s in specs
+    ]
+
+
+def test_verifier_verdict_ignores_equal_piece_cuts():
+    # where a process or an alpha cuts its member pieces does not change the
+    # verdict: the compensator is overlaid with the process pieces, not
+    # looked up in one of them; a tampered alpha member still fails
+    rng = random.Random(53)
+    checked = failed = 0
+    while checked < 12:
+        tree = random_family_tree(rng, depth=rng.choice((2, 3)))
+        f = random_supermartingale(rng, tree)
+        cut_f = ProcessSequence(tree, _recut_specs(rng, f.specs, merge=False))
+        try:
+            decompositions = [doob_decompose(tree, g, [Q(1, 10)] * tree.horizon)
+                              for g in (f, cut_f)]
+        except HypothesisError:  # a.e. continuity fails on this draw
+            continue
+        checked += 1
+        for d, merge in itertools.product(decompositions, (False, True)):
+            e = Decomposition(d.base, d.hedge, _recut_specs(rng, d.alphas, merge),
+                              d.deltas, d.exception_set)
+            for g in (f, cut_f):
+                assert verify_decomposition(tree, g, e) == (True, "")
+            slots = [
+                (j, fid, k)
+                for j, a in enumerate(e.alphas)
+                for fid, pieces in sorted(a.family_values.items())
+                for k, (lo, hi, _) in enumerate(pieces)
+                if not e.exception_set.covers_member(tree, fid, lo)
+            ]
+            if not slots:
+                continue
+            j, fid, k = rng.choice(slots)
+            pieces = list(e.alphas[j].family_values[fid])
+            lo, hi, poly = pieces[k]
+            pieces[k] = (lo, hi, poly.shift(rng.choice([Q(1, 7), Q(-1, 7)])))
+            e.alphas[j].family_values[fid] = tuple(pieces)
+            for g in (f, cut_f):
+                assert verify_decomposition(tree, g, e)[0] is False
+            failed += 1
+    assert failed >= 12
 
 
 def test_alpha_from_hedge_matches_fraction_formula():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -31,6 +32,7 @@ from trajhedge.model import (
 from trajhedge.poly import Poly, parse_rat
 
 from conftest import corpus_text
+from gen import random_family_tree
 
 
 def test_parse_example_6_2(tree_6_2):
@@ -46,6 +48,29 @@ def test_parse_example_6_2(tree_6_2):
 def test_tree_round_trip(tree_lfail):
     again = parse_tree(render_tree(tree_lfail))
     assert render_tree(again) == render_tree(tree_lfail)
+
+
+def test_tree_lines_in_any_order_parse_alike():
+    # a child or family line may come before the line that attaches its parent
+    rng = random.Random(3)
+    for _ in range(20):
+        text = render_tree(random_family_tree(rng, depth=rng.choice((2, 3))))
+        lines = text.splitlines()
+        head = [ln for ln in lines if not ln.startswith(("child", "family"))]
+        edges = lines[len(head):]
+        shuffled = rng.sample(edges, len(edges))
+        for order in (edges[::-1], shuffled):
+            assert render_tree(parse_tree("\n".join(head + order) + "\n")) == text
+
+
+def test_unreachable_parent_fails_at_the_first_waiting_line():
+    text = ("tree s0=1 horizon=2\nnode r t=0\n"
+            "child b inc=1 -> c\nchild c inc=1 -> b\n"
+            "child r inc=1 -> u\nchild r inc=-1 -> d\nchild u inc=1 -> uu\n"
+            "child d inc=1 -> dd\n")
+    with pytest.raises(ParseError, match="unreachable parent 'b'") as exc:
+        parse_tree(text)
+    assert exc.value.line_no == 3
 
 
 def test_parse_single_constant_trajectory():

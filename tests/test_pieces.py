@@ -2,7 +2,9 @@
 ``model.overlay_pieces``) returns exactly the piece tuples of the loop it
 replaced, boundaries included, on generated inputs: ranges that overlap,
 nest, touch end to end, run unbounded or start below ``n0``, and the member
-windows of ``gen.py`` families.  The loops are kept in ``reference_pieces``."""
+windows of ``gen.py`` families.  The loops are kept in ``reference_pieces``.
+Stopped processes are checked member by member against ``f_{min(tau, j)}``,
+on process pieces cut at other members than the stopping windows."""
 
 import operator
 import random
@@ -14,13 +16,17 @@ import reference_pieces as reference
 from trajhedge.analysis import EventSet, FamilyAtom, NodeAtom, analyze
 from trajhedge.decomposition import _mask_exceptions, _member_violation_ranges
 from trajhedge.model import (
+    HedgeSequence,
     PayoffSpec,
     ProcessSequence,
+    StoppingTime,
     add_payoffs,
     first_time_value_geq,
     member_diff,
     nonneg_windows,
     overlay_pieces,
+    stopped_process,
+    supermartingale_transform,
 )
 from trajhedge.poly import Poly
 from trajhedge.pricing import indicator_payoff
@@ -87,6 +93,13 @@ def random_tiled_payoff(rng, tree, j):
     )
 
 
+def random_tiled_process(rng, tree):
+    """Each time's family pieces cut at their own random members."""
+    return ProcessSequence(
+        tree, [random_tiled_payoff(rng, tree, j) for j in range(tree.horizon + 1)]
+    )
+
+
 def trees():
     for seed in SEEDS:
         rng = random.Random(seed)
@@ -107,9 +120,7 @@ def test_add_payoffs_matches_reference():
 
 def test_member_diff_and_violation_ranges_match_reference():
     for rng, tree in trees():
-        f = ProcessSequence(
-            tree, [random_tiled_payoff(rng, tree, j) for j in range(tree.horizon + 1)]
-        )
+        f = random_tiled_process(rng, tree)
         for fam in tree.families.values():
             windows = [(fam.n0, None), *random_cuts(rng, fam.n0), *family_windows(tree, fam.fid)]
             for j in range(tree.horizon):
@@ -172,3 +183,59 @@ def test_indicator_payoff_matches_reference():
         compared += 1
         assert got == expected
     assert compared >= 10 and tied >= 1
+
+
+def test_supermartingale_transform_matches_reference():
+    positions = [Q(0), Q(1, 3), Q(1), Q(5, 2)]
+    for rng, tree in trees():
+        f = random_tiled_process(rng, tree)
+        d = HedgeSequence()
+        for nd in tree.internal_nodes():
+            d.set(nd.time, nd.nid, rng.choice(positions))
+        for fid in tree.families:  # member positions, some left at their default 0
+            for t in range(tree.family_birth(fid), tree.horizon):
+                if rng.random() < 0.7:
+                    d.set(t, fid, rng.choice(positions))
+        got = supermartingale_transform(f, d)
+        assert got.specs == reference.supermartingale_transform(f, d).specs
+
+
+def test_stopped_values_follow_the_first_stop():
+    # tau(n) is the parent path's first marked time, else the earliest window
+    # holding member n; every stopped value is f_{min(tau(n), j)}(n), on
+    # pieces cut at other members than the windows, and so is the tail limit
+    for rng, tree in trees():
+        f = random_tiled_process(rng, tree)
+        marks = frozenset(nid for nid in tree.nodes if rng.random() < 0.15)
+        windows = tuple(
+            (fam.fid, rng.randint(0, tree.horizon), lo, hi)
+            for fam in tree.families.values()
+            for lo, hi in random_cuts(rng, fam.n0)
+        )
+        g = stopped_process(f, StoppingTime(marks, windows))
+        for fam in tree.families.values():
+            birth = tree.family_birth(fam.fid)
+            path = tree.path_to(fam.parent)
+            t_par = next((t for t, nid in enumerate(path) if nid in marks), None)
+
+            def tau(n):
+                if t_par is not None:
+                    return t_par
+                hits = [t for fid, t, lo, hi in windows
+                        if fid == fam.fid and lo <= n and (hi is None or n <= hi)]
+                return min(hits, default=None)
+
+            def want(j, n, limit=False):
+                k = j if tau(n) is None else min(tau(n), j)
+                if k < birth:
+                    return f[k].node_values[path[k]]
+                if limit:
+                    return next(p for _, hi, p in f[k].family_values[fam.fid]
+                                if hi is None).constant_term
+                return f[k].value_at_member(fam.fid, n)
+
+            for j in range(birth, tree.horizon + 1):
+                for n in range(fam.n0, fam.n0 + 41):
+                    assert g[j].value_at_member(fam.fid, n) == want(j, n), (j, n)
+                tail = next(p for _, hi, p in g[j].family_values[fam.fid] if hi is None)
+                assert tail.constant_term == want(j, 10**6, limit=True), j
