@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .analysis import EventSet, FamilyAtom, NodeAtom, NodeClass, analyze
+from .analysis import EventSet, NodeAtom, NodeClass, analyze
 from .model import (
     ZERO,
     HedgeSequence,
@@ -25,31 +25,23 @@ from .model import (
     QueryError,
     SimpleStrategy,
     TrajectoryTree,
-    exceeds,
     member_cover_gap,
     member_diff,
-    nonneg_windows,
     overlay_pieces,
     wealth,
     wealth_on_member,
 )
-from .poly import (
-    Poly,
-    grid_member_above,
-    grid_summary,
-    rat,
-    ranges_excluding,
-    split_ranges,
-    subtract_ranges,
-)
+from .poly import Poly, grid_member_above, grid_summary, rat, split_ranges, subtract_ranges
 from .pricing import (
     MINUS_INF,
     PricingError,
     StepMemo,
     check_supermartingale,
     feasible_position,
+    member_violations,
     next_values,
     node_step,
+    violations,
 )
 
 
@@ -85,54 +77,16 @@ class Decomposition:
 # construction
 
 
-def _violation_nodes(tree: TrajectoryTree, f: ProcessSequence, steps: StepMemo):
-    """Nodes where the one-step price strictly exceeds the running value."""
-    out: set[str] = set()
-    for j in range(tree.horizon):
-        for nd in tree.nodes_at_time(j):
-            if nd.is_leaf:
-                continue
-            if exceeds(steps.step(nd.nid).value, f[j].node_values[nd.nid]):
-                out.add(nd.nid)
-    return out
-
-
-def _member_violation_ranges(tree, f, fid, j) -> list[tuple[int, Optional[int]]]:
-    """Member windows where f_{j+1} > f_j strictly (flat continuations)."""
-    fam = tree.family(fid)
-    diff = member_diff(f, fid, j, fam.n0, None)
-    if diff is None:
-        return []
-    windows: list[tuple[int, Optional[int]]] = []
-    for lo, hi, poly in diff:
-        if poly.is_zero():
-            continue
-        s = grid_summary(poly, lo, hi)
-        if not s.has_pos:
-            continue
-        for seg_lo, seg_hi in nonneg_windows(poly, lo, hi):
-            zeros = grid_summary(poly, seg_lo, seg_hi).zeros
-            windows.extend(ranges_excluding(seg_lo, seg_hi, list(zeros)))
-    return windows
-
-
-def _exception_set(tree: TrajectoryTree, f: ProcessSequence, steps: StepMemo) -> EventSet:
-    """Arbitrage moves, failure cylinders and one-step violations.
-
-    Starts from the null cover: its arbitrage moves, and its sure-win nodes,
-    which all fail continuity from below.  Independent of the slack sequence
-    by construction."""
+def _exception_set(f: ProcessSequence, steps: StepMemo) -> EventSet:
+    """The null cover (its arbitrage moves and sure-win nodes), the nodes
+    where continuity from below fails, and every place where f climbs
+    (``violations``).  Independent of the slack sequence by construction."""
     ev = steps.analysis.null_cover.copy()
     for nid, ok in steps.analysis.l_holds.items():
         if not ok:
             ev.add(NodeAtom(nid))
-    for nid in _violation_nodes(tree, f, steps):
-        ev.add(NodeAtom(nid))
-    for j in range(tree.horizon):
-        for fam in tree.families_born_by(j):
-            wins = _member_violation_ranges(tree, f, fam.fid, j)
-            if wins:
-                ev.add(FamilyAtom(fam.fid, tuple(wins)))
+    for atom in violations(f, steps):
+        ev.add(atom)
     return ev
 
 
@@ -160,7 +114,7 @@ def doob_decompose(
     if not ok:
         raise DecompositionError(f"not a supermartingale: violation at {witness}")
 
-    exceptions = _exception_set(tree, f, steps)
+    exceptions = _exception_set(f, steps)
     covered = exceptions.covered_nodes(tree)
     hedge = HedgeSequence()
     for j in range(tree.horizon):
@@ -205,7 +159,7 @@ def decomposition_from_hedge(
     hedge: HedgeSequence,
 ) -> Decomposition:
     """Fill in compensator increments for a given hedge (not verified here)."""
-    exceptions = _exception_set(tree, f, StepMemo(f))
+    exceptions = _exception_set(f, StepMemo(f))
     return _from_hedge(
         tree, f, [rat(d) for d in deltas], hedge, exceptions,
         exceptions.covered_nodes(tree),
@@ -409,7 +363,8 @@ def decomposition_feasible(
     non-null node does not excuse that node.  The step builder's harvest
     rule drops no more: harvested children are null-cover atoms, and the
     null cover leaves a harvest node's families only their zero-increment
-    members.
+    members.  A member continues flat, so no position covers an alive
+    member that climbs by more than the slack (``member_violations``).
     """
     analysis = analyze(tree)
     deltas = [rat(x) for x in deltas]
@@ -424,10 +379,9 @@ def decomposition_feasible(
             if step.value != MINUS_INF and feasible_position(step, target) is None:
                 return False, nd.nid
         for fam in tree.families_born_by(j):
-            for w_lo, w_hi in analysis.alive_member_ranges(fam.fid):
-                for lo, hi, poly in member_diff(f, fam.fid, j, w_lo, w_hi) or []:
-                    if grid_summary(poly.shift(-deltas[j]), lo, hi).has_pos:
-                        return False, f"family:{fam.fid}"
+            alive = analysis.alive_member_ranges(fam.fid)
+            if alive and split_ranges(member_violations(f, fam.fid, j, deltas[j]), alive)[0]:
+                return False, f"family:{fam.fid}"
     return True, None
 
 

@@ -223,12 +223,25 @@ def render_tree(tree: TrajectoryTree) -> str:
 
 
 def parse_payoff(text: str, tree: TrajectoryTree) -> PayoffSpec:
-    spec, header, fam_lines = _parse_payoff_block(list(_tokenize(text)), tree, {})
+    lines = list(_tokenize(text))
+    spec, header, fam_lines = _parse_payoff_block(lines, tree, {})
     try:
         spec.validate(tree)
     except ModelError as exc:
         raise ParseError(str(exc), fam_lines.get(exc.fid, header)) from exc
+    _check_at_lines(spec, lines, tree)
     return spec
+
+
+def _check_at_lines(spec: PayoffSpec, lines, tree: TrajectoryTree) -> None:
+    """A validated payoff has a value at every node at its maturity, so it
+    holds more values exactly when some at line of its block names an
+    unknown node or one at another time: a ParseError at that line."""
+    if len(spec.node_values) == len(tree.nodes_at_time(spec.maturity)):
+        return
+    for line_no, toks in lines:
+        if toks[0] == "at" and _known_node(tree, toks[1], line_no).time != spec.maturity:
+            raise ParseError(f"at {toks[1]!r}: node not at time {spec.maturity}", line_no)
 
 
 def _parse_payoff_block(
@@ -253,6 +266,8 @@ def _parse_payoff_block(
         elif kind == "at":
             if len(toks) < 4 or toks[2] != "=":
                 raise ParseError("expected: at <node-id> = <rational>", line_no)
+            if toks[1] in node_values:
+                raise ParseError(f"second at line for node {toks[1]!r}", line_no)
             val = MINUS_INF if toks[3] == "-inf" else _parse_rat(toks[3], line_no, known)
             node_values[toks[1]] = val
         elif kind == "at-family":
@@ -305,12 +320,15 @@ def parse_process(text: str, tree: TrajectoryTree) -> ProcessSequence:
     known: dict[str, Fraction] = {}
     parsed = [_parse_payoff_block(block, tree, known) for block in blocks]
     try:
-        return ProcessSequence(tree, [spec for spec, _, _ in parsed])
+        proc = ProcessSequence(tree, [spec for spec, _, _ in parsed])
     except ModelError as exc:
         if exc.entry is None:  # the number of entries
             raise ParseError(str(exc), lines[0][0]) from exc
         _, header, fam_lines = parsed[exc.entry]
         raise ParseError(str(exc), fam_lines.get(exc.fid, header)) from exc
+    for spec, block in zip(proc.specs, blocks):
+        _check_at_lines(spec, block, tree)
+    return proc
 
 
 def render_process(proc: ProcessSequence) -> str:
@@ -330,12 +348,8 @@ def render_decomposition(d) -> str:
     for (t, nid), h in d.hedge.items():
         lines.append(f"hedge t={t} at {nid} = {rat_str(h)}")
     for j, alpha in enumerate(d.alphas):
-        for key in sorted(alpha.node_values):
-            lines.append(f"alpha t={j} at {key} = {rat_str(alpha.node_values[key])}")
-        for fid in sorted(alpha.family_values):
-            for lo, hi, poly in alpha.family_values[fid]:
-                seg = f" from={lo}" + (f" to={hi}" if hi is not None else "")
-                lines.append(f"alpha t={j} at-family {fid} poly={poly.format_coeffs()}{seg}")
+        # the at and at-family lines of render_payoff, after its header
+        lines.extend(f"alpha t={j} {line}" for line in render_payoff(alpha).splitlines()[1:])
     for atom in d.exception_set.atoms_sorted():
         lines.append("exception " + atom)
     return "\n".join(lines) + "\n"

@@ -25,10 +25,9 @@ from .poly import (
 )
 
 MINUS_INF = float("-inf")
-PLUS_INF = float("inf")
 ZERO = Fraction(0)  # shared: a Fraction is immutable
 
-Value = Union[Fraction, float]  # float only ever holds +-inf markers
+Value = Union[Fraction, float]  # float only ever holds the -inf marker
 NRange = tuple[int, Optional[int]]
 
 

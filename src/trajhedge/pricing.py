@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .analysis import Analysis, EventSet, IncrementSummary, analyze
+from .analysis import Analysis, Atom, EventSet, FamilyAtom, IncrementSummary, NodeAtom, analyze
 from .lp import AffinePiece, MinMaxResult, min_max_affine
 from .model import (
     MINUS_INF,
@@ -49,6 +49,7 @@ from .model import (
     Family,
     HedgeSequence,
     Node,
+    NRange,
     PayoffSpec,
     Piece,
     ProcessSequence,
@@ -58,8 +59,9 @@ from .model import (
     abs_payoff,
     exceeds,
     member_diff,
+    nonneg_windows,
 )
-from .poly import Poly, grid_member_above, grid_summary, rat_str, split_ranges
+from .poly import Poly, grid_member_above, grid_summary, ranges_excluding, rat_str, split_ranges
 
 MAX_ROUNDS = 200  # a guard on the exchange loop, never an answer (see solve_step)
 
@@ -81,10 +83,6 @@ class UnconvergedError(PricingError):
 class Interval:
     lo: Fraction
     hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
 
 PriceValue = Union[Fraction, float]  # an exact rational, or the -inf marker
@@ -443,7 +441,19 @@ def feasible_position(step: StepResult, target: Fraction) -> Optional[Fraction]:
 
     An empty problem needs position 0; otherwise None exactly when no finite
     position exists (the value exceeds the target, or equals it without
-    attainment).
+    attainment).  An unattained value below the target is approached along
+    an unblocked drift direction; along each one whose asymptotic value is
+    below the target, the answer is the least passing |h| = 2^k, found by
+    doubling k + 1 and then bisecting, as feasibility is monotone in |h|.
+
+    Some finite |h| passes.  No slope has the wrong sign for the direction,
+    so no cost v - h * d grows with |h| (hence the monotonicity).  Costs with
+    d = 0 (zero-slope pieces and members, an unbounded window's limit when
+    d(0) = 0) are at most the asymptotic value, below the target.  Members
+    past some N stay near the limit: below the target when d(0) = 0, with
+    slopes near d(0) != 0 otherwise, so they pass together; the finitely
+    many others pass one by one.  Both directions are unblocked only when
+    every slope is zero, and then h = -1 passes.
     """
     problem = step.problem
     if not problem.fixed and not problem.groups:
@@ -452,19 +462,17 @@ def feasible_position(step: StepResult, target: Fraction) -> Optional[Fraction]:
         return None
     if step.attained:
         return step.h
-    if step.value == target:
-        return None  # infimum equals the target but is never reached
-    # an unattained infimum below the target: walk out in each unblocked
-    # drift direction, doubling |h|, until the slack certifies feasibility
     for direction in (-1, 1):
         a = _asymptotic_value(problem, direction)
         if a is None or (a != MINUS_INF and a >= target):
             continue
-        h = Fraction(direction)
-        for _ in range(200):
-            if _step_feasible(problem, target, h):
-                return h
-            h *= 2
+        lo, hi = -1, 0  # |h| = 2^lo fails (lo = -1: none tried); 2^hi is tried next
+        while not _step_feasible(problem, target, direction << hi):
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _step_feasible(problem, target, direction << mid) else (mid, hi)
+        return Fraction(direction << hi)
     return None
 
 
@@ -675,32 +683,55 @@ class StepMemo:
         return entry
 
 
+def member_violations(f: ProcessSequence, fid: str, j: int, slack=ZERO) -> list[NRange]:
+    """Member windows of fid where f_{j+1} - f_j > slack strictly; none
+    while the family is not yet born at j + 1."""
+    diff = member_diff(f, fid, j, f.tree.family(fid).n0, None)
+    windows: list[NRange] = []
+    for lo, hi, poly in diff or ():
+        if slack:
+            poly = poly.shift(-slack)
+        if poly.is_zero() or not grid_summary(poly, lo, hi).has_pos:
+            continue
+        for seg_lo, seg_hi in nonneg_windows(poly, lo, hi):
+            zeros = grid_summary(poly, seg_lo, seg_hi).zeros
+            windows.extend(ranges_excluding(seg_lo, seg_hi, list(zeros)))
+    return windows
+
+
+def violations(f: ProcessSequence, steps: StepMemo) -> Iterator[Atom]:
+    """Where f climbs, period by period and on demand: each internal time-j
+    node whose step in ``steps`` exceeds f_j, then each family born by j with
+    its ``member_violations``.  The null cover is not consulted."""
+    tree = f.tree
+    for j in range(tree.horizon):
+        for nd in tree.nodes_at_time(j):
+            if not nd.is_leaf and exceeds(steps.step(nd.nid).value, f[j].node_values[nd.nid]):
+                yield NodeAtom(nd.nid)
+        for fam in tree.families_born_by(j):
+            windows = member_violations(f, fam.fid, j)
+            if windows:
+                yield FamilyAtom(fam.fid, tuple(windows))
+
+
 def check_supermartingale(
     tree: TrajectoryTree, f: ProcessSequence, steps: Optional[StepMemo] = None
 ) -> tuple[bool, Optional[str]]:
     """One-step prices dominate the running values off the null cover.
 
-    A caller that goes on to use the same one-step prices passes its own
-    ``steps``; by default the check makes one and drops it."""
+    The witness is the first of ``violations`` that the null cover does not
+    hold: a node id, or ``family:<fid>:n=<n>`` with n the first member that
+    escapes.  A caller that goes on to use the same one-step prices passes
+    its own ``steps``; by default the check makes one and drops it."""
     steps = StepMemo(f) if steps is None else steps
     analysis = steps.analysis
-    for j in range(tree.horizon):
-        for nd in tree.nodes_at_time(j):
-            if nd.is_leaf or analysis.fully_covered(nd.nid):
-                continue
-            if exceeds(steps.step(nd.nid).value, f[j].node_values[nd.nid]):
-                return False, nd.nid
-        # member positions: the sequence itself must not climb along survivors
-        for fam in tree.families_born_by(j):
-            for lo_r, hi_r in analysis.alive_member_ranges(fam.fid):
-                diff = member_diff(f, fam.fid, j, lo_r, hi_r)
-                if diff is None:
-                    continue
-                for seg_lo, seg_hi, poly in diff:
-                    s = grid_summary(poly, seg_lo, seg_hi)
-                    if s.has_pos:
-                        n = grid_member_above(poly, Fraction(0), seg_lo, seg_hi)
-                        return False, f"family:{fam.fid}:n={n}"
+    for atom in violations(f, steps):
+        if isinstance(atom, FamilyAtom):
+            escaped, _ = split_ranges(list(atom.ranges), analysis.alive_member_ranges(atom.family))
+            if escaped:
+                return False, f"family:{atom.family}:n={min(lo for lo, _ in escaped)}"
+        elif not analysis.fully_covered(atom.node):
+            return False, atom.node
     return True, None
 
 

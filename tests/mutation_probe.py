@@ -53,7 +53,10 @@ DEFAULT_TARGETS = [
     "analysis:EventSet.covered_nodes",
     "analysis:EventSet.fully_covered_nodes",
     "pricing:check_supermartingale",
-    "decomposition:_violation_nodes",
+    "pricing:violations",
+    "pricing:member_violations",
+    "decomposition:decomposition_feasible",
+    "pricing:feasible_position",
     "pricing:_attained",
     "model:exceeds",
     "model:_stopped_member_pieces",

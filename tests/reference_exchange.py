@@ -127,6 +127,6 @@ def solve_step(problem: StepProblem, tolerance: Fraction = DEFAULT_TOLERANCE) ->
         _, viol = g.violation(V, h)
         worst = max(worst, viol)
     interval = Interval(V, V + worst)
-    if interval.width <= tolerance:
+    if interval.hi - interval.lo <= tolerance:
         return StepResult(interval, False, h, [], [], "interval (round cap)")
     raise UnconvergedError(interval)

@@ -133,6 +133,16 @@ def test_decompose_verify_round_trip(capsys, tmp_path, tree_file, process_file):
     assert rc == 0 and out.strip() == "PASS"
 
 
+def test_decompose_past_200_doublings_of_the_hedge(capsys, tmp_path, tree_file, process_file):
+    # slack 2^-210 at the root needs |h| = 2^208
+    out_file = str(tmp_path / "decomp.txt")
+    delta = f"1/{2**210},1/10"
+    rc, _, err = run(capsys, "decompose", tree_file, process_file, "--delta", delta, "-o", out_file)
+    assert rc == 0, err
+    rc, out, _ = run(capsys, "verify-decomp", tree_file, process_file, out_file)
+    assert rc == 0 and out.strip() == "PASS"
+
+
 FLAGSHIP_DECOMPOSITION = """\
 decomposition base=0
 deltas 1/10,1/10
@@ -521,6 +531,10 @@ def test_truncated_tree_line_exits_2(
         ("payoff maturity=1\nat-family down poly=0,1 to=3\nat u = 0\n", 2),
         # a node fault: at the payoff header
         ("# no up value\npayoff maturity=1\nat-family down poly=0,1\n", 2),
+        # an at line for a node already valued, unknown, or not at maturity
+        ("payoff maturity=1\nat u = 0\nat u = 5\nat-family down poly=0,1\n", 3),
+        ("payoff maturity=1\nat u = 0\nat-family down poly=0,1\nat zz = 7\n", 4),
+        ("payoff maturity=1\nat r = 3\nat u = 0\nat-family down poly=0,1\n", 2),
     ],
 )
 def test_payoff_fault_line(capsys, tmp_path, tree_file, text, line):
@@ -539,6 +553,10 @@ def test_payoff_fault_line(capsys, tmp_path, tree_file, text, line):
         (5, "at u = -inf", 4),
         # a block at the wrong time: at its header
         (2, "payoff maturity=1", 2),
+        # an at line for a node already valued, unknown, or not at maturity
+        (3, "at r = 0\nat r = 9", 4),
+        (5, "at u = 0\nat zz = 7", 6),
+        (3, "at u = 0\nat r = 0", 3),
     ],
 )
 def test_process_fault_line(capsys, tmp_path, tree_file, at, text, line):

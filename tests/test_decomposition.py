@@ -331,6 +331,16 @@ def test_delta_necessity_flagship(tree_6_2, process_6_2_b):
     assert feas
 
 
+def test_the_drift_walk_has_no_doubling_cap(tree_6_2, process_6_2_b):
+    # at slack 2^-(k+2) the root's hedge is -2^k, k doublings of |h| out:
+    # here k = 208, past any cap of 200 doublings
+    deltas = [Q(1, 2**210), Q(1, 10)]
+    assert decomposition_feasible(tree_6_2, process_6_2_b, deltas) == (True, None)
+    d = doob_decompose(tree_6_2, process_6_2_b, deltas)
+    assert d.hedge.at(0, "r") == -2**208
+    assert verify_decomposition(tree_6_2, process_6_2_b, d) == (True, "")
+
+
 def test_delta_necessity_l_failure(tree_lfail, process_lfail):
     for d0 in (Q(1, 4), Q(1, 2), Q(3, 4)):
         feas, where = decomposition_feasible(

@@ -14,7 +14,7 @@ import pytest
 
 import reference_pieces as reference
 from trajhedge.analysis import EventSet, FamilyAtom, NodeAtom, analyze
-from trajhedge.decomposition import _mask_exceptions, _member_violation_ranges
+from trajhedge.decomposition import _mask_exceptions
 from trajhedge.model import (
     HedgeSequence,
     PayoffSpec,
@@ -29,7 +29,7 @@ from trajhedge.model import (
     supermartingale_transform,
 )
 from trajhedge.poly import Poly
-from trajhedge.pricing import indicator_payoff
+from trajhedge.pricing import indicator_payoff, member_violations
 
 from gen import FAMILY_POOL, VAL_POOL, random_family_tree
 
@@ -128,7 +128,7 @@ def test_member_diff_and_violation_ranges_match_reference():
                     got = member_diff(f, fam.fid, j, lo, hi)
                     assert got == reference.member_diff(f, fam.fid, j, lo, hi)
                 if tree.family_birth(fam.fid) <= j:
-                    assert _member_violation_ranges(tree, f, fam.fid, j) == \
+                    assert member_violations(f, fam.fid, j) == \
                         reference._member_violation_ranges(tree, f, fam.fid, j)
 
 

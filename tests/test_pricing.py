@@ -26,6 +26,7 @@ from trajhedge.pricing import (
     sigma_bar_all,
     sigma_bar_payoff,
     tower_check,
+    violations,
 )
 
 import reference_family
@@ -275,14 +276,17 @@ def test_supermartingale_check_rejects_increasing_constants():
     assert not ok and witness == t.root
 
 
+def violation_nodes(f):
+    """The nodes among the atoms of the walk of violations."""
+    return {a.node for a in violations(f, StepMemo(f)) if isinstance(a, NodeAtom)}
+
+
 @pytest.mark.parametrize("make", [random_arbitrage_free_tree, random_h3_tree,
                                   random_family_tree])
 def test_supermartingale_check_at_and_just_below_the_one_step_price(make):
     # a running value equal to its one-step price passes; one 1/p below it,
     # with p a large prime and so a denominator the price does not have,
-    # fails at that node, in the check and in the decomposition's violations
-    from trajhedge.decomposition import _violation_nodes
-
+    # fails at that node, in the check and in the walk of violations
     rng = random.Random(f"step-edge:{make.__name__}")
     p = 1_000_003
     checked = 0
@@ -298,11 +302,11 @@ def test_supermartingale_check_at_and_just_below_the_one_step_price(make):
             kept = values[nd.nid]
             values[nd.nid] = price
             assert check_supermartingale(tree, f) == (True, None)
-            assert _violation_nodes(tree, f, StepMemo(f)) == set()
+            assert violation_nodes(f) == set()
             values[nd.nid] = price - Q(1, p)
             assert values[nd.nid].denominator != price.denominator
             assert check_supermartingale(tree, f) == (False, nd.nid)
-            assert _violation_nodes(tree, f, StepMemo(f)) == {nd.nid}
+            assert violation_nodes(f) == {nd.nid}
             values[nd.nid] = kept
             checked += 1
     assert checked >= 10
@@ -311,13 +315,11 @@ def test_supermartingale_check_at_and_just_below_the_one_step_price(make):
 def test_a_minus_inf_step_reports_no_violation(tree_lfail, process_lfail):
     # continuity from below fails at u, which the null cover leaves uncovered:
     # its one-step value is -inf, below any running value
-    from trajhedge.decomposition import _violation_nodes
-
     assert not analyze(tree_lfail).fully_covered("u")
     assert StepMemo(process_lfail).step("u").value == MINUS_INF
     process_lfail[1].node_values["u"] = Q(-10**12, 7)
     assert check_supermartingale(tree_lfail, process_lfail) == (True, None)
-    assert "u" not in _violation_nodes(tree_lfail, process_lfail, StepMemo(process_lfail))
+    assert "u" not in violation_nodes(process_lfail)
 
 
 # ---------------------------------------------------------------------------
